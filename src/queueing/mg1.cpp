@@ -320,13 +320,14 @@ struct Sim {
       const Event e = events.pop();
       STOSCHED_TIME_STOP(mg1_fes);
       now = e.time;
-      if (!warm && now >= opt.warmup) reset_statistics();
+      if (!warm && now >= opt.warmup) warm_up();
       if (e.type == kArrival)
         on_arrival(e.a);
       else
         on_departure(e);
     }
     now = t_end;
+    if (!warm) warm_up();  // no event reached the warmup epoch
 
     SimResult out;
     out.per_class.resize(n);
@@ -346,10 +347,14 @@ struct Sim {
     return out;
   }
 
-  void reset_statistics() {
+  // Restart the time-averages at the warmup *epoch*, not at the first event
+  // at-or-after it (as simulate_mmm does): TimeAverage::reset keeps the
+  // current level, so [warmup, next event) is credited at the pre-warmup
+  // state even when events are sparse or none follows the epoch.
+  void warm_up() {
     warm = true;
-    for (std::size_t j = 0; j < n; ++j) count_ta[j].reset(now);
-    busy_ta.reset(now);
+    for (std::size_t j = 0; j < n; ++j) count_ta[j].reset(opt.warmup);
+    busy_ta.reset(opt.warmup);
   }
 };
 

@@ -211,6 +211,14 @@ struct PollingSim {
     decide();
   }
 
+  // Time-averages restart at the warmup epoch, as in simulate_mmm.
+  void warm_up() {
+    warm = true;
+    for (auto& ta : count_ta) ta.reset(opt.warmup);
+    switch_ta.reset(opt.warmup);
+    serve_ta.reset(opt.warmup);
+  }
+
   PollingResult run() {
     for (std::size_t j = 0; j < n; ++j)
       if (arrival[j])
@@ -223,12 +231,7 @@ struct PollingSim {
       const Event e = events.pop();
       STOSCHED_TIME_STOP(polling_fes);
       now = e.time;
-      if (!warm && now >= opt.warmup) {
-        warm = true;
-        for (auto& ta : count_ta) ta.reset(now);
-        switch_ta.reset(now);
-        serve_ta.reset(now);
-      }
+      if (!warm && now >= opt.warmup) warm_up();
       const auto q = static_cast<std::size_t>(e.a);
       switch (e.type) {
         case kArrival: {
@@ -268,6 +271,7 @@ struct PollingSim {
       }
     }
     now = t_end;
+    if (!warm) warm_up();  // no event reached the warmup epoch
 
     PollingResult out;
     out.mean_in_system.resize(n);
