@@ -38,7 +38,6 @@
 #include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "des/simulator.hpp"
 
 #include "lp/adaptive_greedy.hpp"
 #include "lp/revised_simplex.hpp"

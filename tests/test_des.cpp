@@ -1,8 +1,7 @@
 // Tests for des/: heap ordering with tie-breaking (the determinism
 // guarantee), arity-parameterized property checks, calendar-queue order
 // equivalence with the heaps, the FifoArena ring buffer against a
-// std::deque reference, the process-wide event counter, and the Simulator
-// kernel's clock discipline.
+// std::deque reference, and the process-wide event counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "des/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace stosched {
@@ -263,60 +261,6 @@ TEST(FifoArena, GrowthUnwrapsRing) {
     ASSERT_EQ(arena.front(), i);
     arena.pop_front();
   }
-}
-
-TEST(Simulator, DispatchesInOrderAndAdvancesClock) {
-  Simulator sim;
-  std::vector<double> seen;
-  sim.on(0, [&](const Event& e) {
-    EXPECT_DOUBLE_EQ(sim.now(), e.time);
-    seen.push_back(e.time);
-  });
-  sim.schedule_at(2.0, 0);
-  sim.schedule_at(1.0, 0);
-  sim.schedule_at(3.0, 0);
-  sim.run_until(10.0);
-  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-  EXPECT_EQ(sim.dispatched(), 3u);
-}
-
-TEST(Simulator, HandlersCanScheduleMoreEvents) {
-  Simulator sim;
-  int count = 0;
-  sim.on(0, [&](const Event&) {
-    if (++count < 5) sim.schedule_in(1.0, 0);
-  });
-  sim.schedule_at(0.0, 0);
-  sim.run_until(100.0);
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(sim.now(), 100.0);
-}
-
-TEST(Simulator, EventsBeyondHorizonStayPending) {
-  Simulator sim;
-  int count = 0;
-  sim.on(0, [&](const Event&) { ++count; });
-  sim.schedule_at(1.0, 0);
-  sim.schedule_at(50.0, 0);
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(sim.pending(), 1u);
-}
-
-TEST(Simulator, SchedulingInPastThrows) {
-  Simulator sim;
-  sim.on(0, [](const Event&) {});
-  sim.schedule_at(5.0, 0);
-  sim.run_until(5.0);
-  EXPECT_THROW(sim.schedule_at(1.0, 0), std::invalid_argument);
-  EXPECT_THROW(sim.schedule_in(-1.0, 0), std::invalid_argument);
-}
-
-TEST(Simulator, MissingHandlerThrows) {
-  Simulator sim;
-  sim.schedule_at(1.0, 3);
-  EXPECT_THROW(sim.step(), std::invalid_argument);
 }
 
 }  // namespace
