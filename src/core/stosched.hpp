@@ -75,6 +75,7 @@
 #include "queueing/parallel_servers.hpp"
 #include "queueing/polling.hpp"
 #include "queueing/network.hpp"
+#include "queueing/station.hpp"
 #include "queueing/fluid.hpp"
 
 #include "core/conservation.hpp"

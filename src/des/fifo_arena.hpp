@@ -13,7 +13,7 @@
 // push_back/front/pop_front, plus push_front for the M/G/1 preemptive-
 // resume discipline (a preempted job re-enters at the head of its class).
 // T must be default-constructible and copyable (the queues hold small POD
-// records: arrival epochs, WaitingJob, class ids).
+// records: arrival epochs, class ids).
 #pragma once
 
 #include <cstddef>

@@ -1,18 +1,11 @@
 #include "queueing/mg1.hpp"
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
 #include <utility>
 
-#include "des/event_queue.hpp"
-#include "des/fifo_arena.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "queueing/station.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
-#include "util/stats.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing {
 
@@ -31,341 +24,48 @@ double traffic_intensity(const std::vector<ClassSpec>& classes) {
   return rho;
 }
 
-// Hot-path phase accounting (zero-cost unless -DSTOSCHED_TIME_STATS):
-// FES pops vs random-variate draws vs statistics bookkeeping.
-STOSCHED_TIME_DECLARE(mg1_fes);
-STOSCHED_TIME_DECLARE(mg1_sampling);
-STOSCHED_TIME_DECLARE(mg1_bookkeeping);
-
-namespace {
-
-constexpr std::uint32_t kArrival = 0;
-constexpr std::uint32_t kDeparture = 1;
-
-/// A waiting or preempted job: when it joined its current class queue and
-/// (for preempted jobs) the unfinished service.
-struct WaitingJob {
-  double class_arrival = 0.0;
-  double remaining = -1.0;   ///< <0: not yet started
-  bool started = false;      ///< wait already credited
-};
-
-struct Sim {
-  const std::vector<ClassSpec>& classes;
-  const SimOptions& opt;
-  std::size_t n;
-
-  // Per-purpose substreams (see simulate_mg1's header comment): class j's
-  // arrivals and services each draw from their own stream, so the k-th
-  // class-j service requirement is the same number under every discipline —
-  // the synchronization common-random-number comparisons rely on.
-  std::vector<Rng> arrival_rng;
-  std::vector<Rng> service_rng;
-  Rng feedback_rng;
-
-  // Effective per-class arrival processes (Poisson default when the spec
-  // has no explicit process; null = no external arrivals) plus their
-  // per-replication sampler state (MMPP phase).
-  std::vector<ArrivalPtr> arrival;
-  std::vector<ArrivalState> arrival_state;
-
-  // Per-class sampling procedures resolved once at setup (tagged-POD switch
-  // for the common laws, virtual fallback otherwise — bit-identical draws
-  // either way; see FlatSampler).
-  std::vector<CachedGapSampler> gap;
-  std::vector<FlatSampler> service_flat;
-
-  EventQueue events;
-  std::vector<FifoArena<WaitingJob>> queue;  // per class; FCFS within class
-  FifoArena<std::pair<std::size_t, WaitingJob>> fcfs;  // global FCFS queue
-
-  bool busy = false;
-  std::size_t cur_class = 0;
-  WaitingJob cur_job;
-  double service_started = 0.0;
-  double departure_time = 0.0;
-  std::uint64_t departure_gen = 0;  // lazy cancellation for preemption
-
-  std::vector<std::size_t> rank;    // rank[class] = priority position
-  std::vector<long> in_system;      // current count per class
-  std::vector<TimeAverage> count_ta;
-  TimeAverage busy_ta;
-  std::vector<RunningStat> wait_stat, sojourn_stat;
-  // Post-warmup tail samples, flushed into the obs registry once per run()
-  // (plain increments here, one atomic merge at the end — never per event).
-  obs::LocalHistogram wait_hist, sojourn_hist;
-  std::vector<std::size_t> completions;
-  bool warm = false;
-  double now = 0.0;
-
-  Sim(const std::vector<ClassSpec>& c, const SimOptions& o, Rng& r)
-      : classes(c), opt(o), n(c.size()) {
-    STOSCHED_REQUIRE(n >= 1, "need at least one class");
-    STOSCHED_REQUIRE(opt.horizon > 0.0, "horizon must be > 0");
-    STOSCHED_REQUIRE(opt.warmup >= 0.0, "warmup must be >= 0");
-    for (const auto& spec : classes) {
-      STOSCHED_REQUIRE(spec.arrival_rate >= 0.0, "arrival rate must be >= 0");
-      STOSCHED_REQUIRE(spec.service != nullptr, "every class needs a service law");
-    }
-    const bool priority_based = opt.discipline != Discipline::kFcfs;
-    if (priority_based) {
-      STOSCHED_REQUIRE(opt.priority.size() == n,
-                       "priority list must cover all classes");
-      rank.assign(n, 0);
-      std::vector<char> seen(n, 0);
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        const std::size_t cls = opt.priority[pos];
-        STOSCHED_REQUIRE(cls < n && !seen[cls],
-                         "priority list must be a permutation");
-        seen[cls] = 1;
-        rank[cls] = pos;
-      }
-    }
-    if (!opt.feedback.empty()) {
-      STOSCHED_REQUIRE(opt.discipline == Discipline::kPriorityNonPreemptive,
-                       "feedback requires the nonpreemptive discipline");
-      STOSCHED_REQUIRE(opt.feedback.size() == n, "feedback matrix shape");
-      for (const auto& row : opt.feedback) {
-        STOSCHED_REQUIRE(row.size() == n, "feedback matrix shape");
-        double total = 0.0;
-        for (const double p : row) {
-          STOSCHED_REQUIRE(p >= 0.0, "feedback probabilities must be >= 0");
-          total += p;
-        }
-        STOSCHED_REQUIRE(total <= 1.0 + 1e-9, "feedback row sums must be <= 1");
-      }
-    }
-    // One draw decouples back-to-back simulations sharing a caller Rng;
-    // everything below derives from it, so copies of the same caller state
-    // replay identical substreams.
-    const Rng root(r());
-    arrival_rng.reserve(n);
-    service_rng.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      arrival_rng.push_back(root.stream(2 * j));
-      service_rng.push_back(root.stream(2 * j + 1));
-    }
-    feedback_rng = root.stream(2 * n);
-    arrival.reserve(n);
-    for (const auto& spec : classes) arrival.push_back(effective_arrival(spec));
-    arrival_state.resize(n);
-    gap.reserve(n);
-    service_flat.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      gap.emplace_back(arrival[j].get());
-      service_flat.push_back(classes[j].service->flat());
-    }
-    // Steady state holds ~2 events per class (next arrival + departure);
-    // reserving up front keeps multi-replication engine runs allocation-free
-    // after the first few events.
-    events.reserve(4 * n + 16);
-    queue.resize(n);
-    in_system.assign(n, 0);
-    count_ta.resize(n);
-    wait_stat.resize(n);
-    sojourn_stat.resize(n);
-    completions.assign(n, 0);
-    for (std::size_t j = 0; j < n; ++j) count_ta[j].observe(0.0, 0.0);
-    busy_ta.observe(0.0, 0.0);
-  }
-
-  void set_count(std::size_t cls, long delta) {
-    in_system[cls] += delta;
-    STOSCHED_ASSERT(in_system[cls] >= 0, "negative class population");
-    STOSCHED_TIME_START(mg1_bookkeeping);
-    count_ta[cls].observe(now, static_cast<double>(in_system[cls]));
-    STOSCHED_TIME_STOP(mg1_bookkeeping);
-  }
-
-  void set_busy(bool b) {
-    busy = b;
-    busy_ta.observe(now, b ? 1.0 : 0.0);
-  }
-
-  void schedule_arrival(std::size_t cls) {
-    if (!arrival[cls]) return;
-    STOSCHED_TIME_START(mg1_sampling);
-    const double g = gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
-    STOSCHED_TIME_STOP(mg1_sampling);
-    events.push(now + g, kArrival, static_cast<std::uint32_t>(cls));
-  }
-
-  /// Pick the next class to serve; SIZE_MAX if all queues empty.
-  std::size_t pick_class() {
-    if (opt.discipline == Discipline::kFcfs) {
-      return fcfs.empty() ? SIZE_MAX : fcfs.front().first;
-    }
-    std::size_t best = SIZE_MAX;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (queue[j].empty()) continue;
-      if (best == SIZE_MAX || rank[j] < rank[best]) best = j;
-    }
-    return best;
-  }
-
-  void start_service() {
-    const std::size_t cls = pick_class();
-    if (cls == SIZE_MAX) {
-      set_busy(false);
-      return;
-    }
-    WaitingJob job;
-    if (opt.discipline == Discipline::kFcfs) {
-      job = fcfs.front().second;
-      fcfs.pop_front();
-    } else {
-      job = queue[cls].front();
-      queue[cls].pop_front();
-    }
-    if (!job.started) {
-      if (warm) {
-        wait_stat[cls].push(now - job.class_arrival);
-        wait_hist.record(now - job.class_arrival);
-      }
-      job.started = true;
-    }
-    STOSCHED_TIME_START(mg1_sampling);
-    const double service = job.remaining >= 0.0
-                               ? job.remaining
-                               : service_flat[cls].sample(service_rng[cls]);
-    STOSCHED_TIME_STOP(mg1_sampling);
-    cur_class = cls;
-    cur_job = job;
-    service_started = now;
-    departure_time = now + service;
-    ++departure_gen;
-    events.push(departure_time, kDeparture, static_cast<std::uint32_t>(cls),
-                departure_gen);
-    set_busy(true);
-  }
-
-  void enqueue(std::size_t cls, WaitingJob job) {
-    if (opt.discipline == Discipline::kFcfs)
-      fcfs.push_back({cls, job});
-    else
-      queue[cls].push_back(job);
-  }
-
-  void on_arrival(std::size_t cls) {
-    schedule_arrival(cls);
-    // Batch processes deliver several simultaneous jobs per epoch; the
-    // default batch_size() is 1 and consumes no randomness, so non-batch
-    // configurations keep the historical draw sequence exactly.
-    const std::size_t jobs =
-        arrival[cls]->batch_size(arrival_state[cls], arrival_rng[cls]);
-    for (std::size_t i = 0; i < jobs; ++i) admit(cls);
-  }
-
-  void admit(std::size_t cls) {
-    set_count(cls, +1);
-    WaitingJob job;
-    job.class_arrival = now;
-
-    if (!busy) {
-      enqueue(cls, job);
-      start_service();
-      return;
-    }
-    if (opt.discipline == Discipline::kPriorityPreemptiveResume &&
-        rank[cls] < rank[cur_class]) {
-      // Preempt: bank the incumbent's remaining service and requeue it at
-      // the *front* of its class (resume order within class is LCFS-PR on
-      // the preempted stack; any order is fine for class-level stats).
-      WaitingJob preempted = cur_job;
-      preempted.remaining = departure_time - now;
-      preempted.started = true;
-      queue[cur_class].push_front(preempted);
-      ++departure_gen;  // invalidate the in-flight departure event
-      enqueue(cls, job);
-      start_service();
-      return;
-    }
-    enqueue(cls, job);
-  }
-
-  void on_departure(const Event& e) {
-    if (!busy || e.b != departure_gen) return;  // stale (preempted) event
-    const std::size_t cls = cur_class;
-    if (warm) {
-      ++completions[cls];
-      sojourn_stat[cls].push(now - cur_job.class_arrival);
-      sojourn_hist.record(now - cur_job.class_arrival);
-    }
-    set_count(cls, -1);
-
-    // Feedback routing: job may re-enter as another class.
-    if (!opt.feedback.empty()) {
-      const auto& row = opt.feedback[cls];
-      double u = feedback_rng.uniform();
-      for (std::size_t k = 0; k < n; ++k) {
-        u -= row[k];
-        if (u < 0.0) {
-          set_count(k, +1);
-          WaitingJob back;
-          back.class_arrival = now;
-          enqueue(k, back);
-          break;
-        }
-      }
-    }
-    start_service();
-  }
-
-  SimResult run() {
-    for (std::size_t j = 0; j < n; ++j) schedule_arrival(j);
-    const double t_end = opt.warmup + opt.horizon;
-
-    while (!events.empty() && events.top().time <= t_end) {
-      STOSCHED_TIME_START(mg1_fes);
-      const Event e = events.pop();
-      STOSCHED_TIME_STOP(mg1_fes);
-      now = e.time;
-      if (!warm && now >= opt.warmup) warm_up();
-      if (e.type == kArrival)
-        on_arrival(e.a);
-      else
-        on_departure(e);
-    }
-    now = t_end;
-    if (!warm) warm_up();  // no event reached the warmup epoch
-
-    SimResult out;
-    out.per_class.resize(n);
-    out.time_simulated = opt.horizon;
-    for (std::size_t j = 0; j < n; ++j) {
-      auto& s = out.per_class[j];
-      s.mean_in_system = count_ta[j].finish(t_end);
-      s.mean_wait = wait_stat[j].mean();
-      s.mean_sojourn = sojourn_stat[j].mean();
-      s.completions = completions[j];
-      s.throughput = static_cast<double>(completions[j]) / opt.horizon;
-      out.cost_rate += classes[j].holding_cost * s.mean_in_system;
-    }
-    out.utilization = busy_ta.finish(t_end);
-    obs::wait_time_histogram().merge(wait_hist);
-    obs::sojourn_time_histogram().merge(sojourn_hist);
-    return out;
-  }
-
-  // Restart the time-averages at the warmup *epoch*, not at the first event
-  // at-or-after it (as simulate_mmm does): TimeAverage::reset keeps the
-  // current level, so [warmup, next event) is credited at the pre-warmup
-  // state even when events are sparse or none follows the epoch.
-  void warm_up() {
-    warm = true;
-    for (std::size_t j = 0; j < n; ++j) count_ta[j].reset(opt.warmup);
-    busy_ta.reset(opt.warmup);
-  }
-};
-
-}  // namespace
-
 SimResult simulate_mg1(const std::vector<ClassSpec>& classes,
-                       const SimOptions& options, Rng& rng) {
+                       const SimOptions& opt, Rng& rng) {
   STOSCHED_EXPECTS(!classes.empty(), "simulate_mg1 needs at least one class");
   STOSCHED_TRACE_SPAN("sim", "simulate_mg1");
-  Sim sim(classes, options, rng);
-  const SimResult res = sim.run();
+  const std::size_t n = classes.size();
+  detail::StationSpec spec =
+      detail::class_station(classes, opt.horizon, opt.warmup);
+  spec.fcfs = opt.discipline == Discipline::kFcfs;
+  if (!spec.fcfs) spec.priority = {opt.priority};
+  spec.preemptive = opt.discipline == Discipline::kPriorityPreemptiveResume;
+  if (!opt.feedback.empty()) {
+    STOSCHED_REQUIRE(opt.discipline == Discipline::kPriorityNonPreemptive,
+                     "feedback requires the nonpreemptive discipline");
+    STOSCHED_REQUIRE(opt.feedback.size() == n, "feedback matrix shape");
+    for (const auto& row : opt.feedback) {
+      STOSCHED_REQUIRE(row.size() == n, "feedback matrix shape");
+      double total = 0.0;
+      for (const double p : row) {
+        STOSCHED_REQUIRE(p >= 0.0, "feedback probabilities must be >= 0");
+        total += p;
+      }
+      STOSCHED_REQUIRE(total <= 1.0 + 1e-9, "feedback row sums must be <= 1");
+    }
+    spec.feedback = &opt.feedback;
+  }
+  spec.sojourn = true;
+
+  detail::StationKernel sim(std::move(spec), rng);
+  sim.run();
+  SimResult res;
+  res.per_class.resize(n);
+  res.time_simulated = opt.horizon;
+  for (std::size_t j = 0; j < n; ++j) {
+    auto& s = res.per_class[j];
+    s.mean_in_system = sim.mean_count(j);
+    s.mean_wait = sim.wait_stat[j].mean();
+    s.mean_sojourn = sim.sojourn_stat[j].mean();
+    s.completions = sim.sojourn_stat[j].count();
+    s.throughput = static_cast<double>(s.completions) / opt.horizon;
+    res.cost_rate += classes[j].holding_cost * s.mean_in_system;
+  }
+  res.utilization = sim.mean_busy(0);
   // A single server's busy fraction is a time average of an indicator.
   STOSCHED_ENSURES(res.utilization >= 0.0 && res.utilization <= 1.0 + 1e-9,
                    "M/G/1 utilization outside [0, 1]");

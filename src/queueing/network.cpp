@@ -1,14 +1,11 @@
 #include "queueing/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "des/event_queue.hpp"
-#include "des/fifo_arena.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "queueing/station.hpp"
 #include "util/check.hpp"
-#include "util/stats.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing {
 
@@ -26,25 +23,9 @@ void NetworkConfig::validate() const {
   if (!station_priority.empty()) {
     STOSCHED_REQUIRE(station_priority.size() == num_stations,
                      "per-station priority shape mismatch");
-    // Each list must be a permutation of exactly the classes at its station:
-    // the dispatch scan only looks at listed classes, so an omitted class
-    // would silently never be served (unbounded backlog, bogus growth rate).
-    std::vector<char> listed(classes.size(), 0);
-    for (std::size_t st = 0; st < num_stations; ++st) {
-      for (const std::size_t cls : station_priority[st]) {
-        STOSCHED_REQUIRE(cls < classes.size(), "priority class out of range");
-        STOSCHED_REQUIRE(classes[cls].station == st,
-                         "priority lists classes of another station");
-        STOSCHED_REQUIRE(!listed[cls],
-                         "priority lists a class more than once");
-        listed[cls] = 1;
-      }
-    }
-    for (std::size_t c = 0; c < classes.size(); ++c)
-      STOSCHED_REQUIRE(
-          listed[c],
-          "station priority must list every class at the station exactly "
-          "once; an omitted class would never be served (silent starvation)");
+    std::vector<std::size_t> station;
+    for (const auto& c : classes) station.push_back(c.station);
+    detail::require_priority(station_priority, station);
   }
 }
 
@@ -84,175 +65,39 @@ std::vector<double> station_intensities(const NetworkConfig& config) {
   return rho;
 }
 
-// Hot-path phase accounting (zero-cost unless -DSTOSCHED_TIME_STATS).
-STOSCHED_TIME_DECLARE(network_fes);
-STOSCHED_TIME_DECLARE(network_sampling);
-STOSCHED_TIME_DECLARE(network_bookkeeping);
-
-namespace {
-
-constexpr std::uint32_t kArrival = 0;
-constexpr std::uint32_t kServiceDone = 1;
-constexpr std::uint32_t kSample = 2;
-
-}  // namespace
-
 NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
                               std::size_t samples, Rng& rng) {
   config.validate();
   STOSCHED_REQUIRE(horizon > 0.0 && samples >= 2, "need a horizon and samples");
   STOSCHED_TRACE_SPAN("sim", "simulate_network");
-  const std::size_t nc = config.classes.size();
-  const std::size_t ns = config.num_stations;
-  const bool fcfs = config.station_priority.empty();
-
-  // Per-purpose substreams (see the header comment): class c's external
-  // arrivals and its service requirements each draw from their own stream,
-  // so the workload is identical under every priority assignment — the
-  // common-random-number synchronization for policy comparisons.
-  const Rng root(rng());
-  std::vector<Rng> arrival_rng, service_rng;
-  arrival_rng.reserve(nc);
-  service_rng.reserve(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    arrival_rng.push_back(root.stream(2 * c));
-    service_rng.push_back(root.stream(2 * c + 1));
+  detail::StationSpec spec;
+  for (const auto& c : config.classes) {
+    spec.arrival.push_back(effective_arrival(c));
+    // Legacy `service_mean`-only classes keep the historical exponential
+    // draw as a flat exponential — the same `rng.exponential(1/mean)`.
+    spec.service.push_back(
+        c.service ? c.service->flat()
+                  : FlatSampler::exponential(1.0 / c.service_mean));
+    spec.station.push_back(c.station);
+    spec.next.push_back(c.next);
   }
+  spec.stations = config.num_stations;
+  spec.fcfs = config.station_priority.empty();
+  spec.priority = config.station_priority;
+  spec.per_class = false;  // the total population is all the trace needs
+  spec.t_end = horizon;
 
-  // Effective per-class external arrival processes (Poisson default; null
-  // for internal classes) + per-replication state; see dist/arrival.hpp.
-  std::vector<ArrivalPtr> arrival(nc);
-  std::vector<ArrivalState> arrival_state(nc);
-  for (std::size_t c = 0; c < nc; ++c)
-    arrival[c] = effective_arrival(config.classes[c]);
-
-  // Per-class sampling procedures resolved once (tagged-POD switch for the
-  // common laws, virtual fallback otherwise; draws are bit-identical). The
-  // legacy `service_mean`-only classes get the historical exponential draw
-  // as a flat exponential — the same `rng.exponential(1/mean)` either way.
-  std::vector<CachedGapSampler> gap(nc);
-  std::vector<FlatSampler> service_flat(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    gap[c] = CachedGapSampler(arrival[c].get());
-    const auto& cls = config.classes[c];
-    service_flat[c] = cls.service
-                          ? cls.service->flat()
-                          : FlatSampler::exponential(1.0 / cls.service_mean);
-  }
-
-  EventQueue events;
-  // Per class FIFO (arrival times); per station FCFS order (class ids).
-  std::vector<FifoArena<double>> queue(nc);
-  std::vector<FifoArena<std::size_t>> station_fifo(ns);
-  std::vector<char> busy(ns, 0);
-  std::vector<std::size_t> serving(ns, 0);  // class being served
-  std::vector<std::size_t> rank(nc, 0);
-  if (!fcfs) {
-    for (std::size_t st = 0; st < ns; ++st)
-      for (std::size_t pos = 0; pos < config.station_priority[st].size(); ++pos)
-        rank[config.station_priority[st][pos]] = pos;
-  }
-
-  long total_jobs = 0;
-  TimeAverage total_ta;
-  total_ta.observe(0.0, 0.0);
-  double now = 0.0;
-  obs::LocalHistogram wait_hist;  // queueing delays, merged once at the end
-
-  auto start_if_idle = [&](std::size_t st) {
-    if (busy[st]) return;
-    std::size_t pick = SIZE_MAX;
-    if (fcfs) {
-      if (!station_fifo[st].empty()) {
-        pick = station_fifo[st].front();
-        station_fifo[st].pop_front();
-      }
-    } else {
-      for (const std::size_t cls : config.station_priority[st]) {
-        if (!queue[cls].empty()) {
-          pick = cls;
-          break;
-        }
-      }
-    }
-    if (pick == SIZE_MAX) return;
-    STOSCHED_ASSERT(!queue[pick].empty(), "station FIFO out of sync");
-    wait_hist.record(now - queue[pick].front());  // queued-at timestamp
-    queue[pick].pop_front();
-    busy[st] = 1;
-    serving[st] = pick;
-    STOSCHED_TIME_START(network_sampling);
-    const double duration = service_flat[pick].sample(service_rng[pick]);
-    STOSCHED_TIME_STOP(network_sampling);
-    events.push(now + duration, kServiceDone, static_cast<std::uint32_t>(st));
-  };
-
-  auto enqueue_job = [&](std::size_t cls) {
-    queue[cls].push_back(now);
-    if (fcfs) station_fifo[config.classes[cls].station].push_back(cls);
-    start_if_idle(config.classes[cls].station);
-  };
-
-  for (std::size_t c = 0; c < nc; ++c)
-    if (arrival[c])
-      events.push(gap[c].next_gap(arrival_state[c], arrival_rng[c]), kArrival,
-                  static_cast<std::uint32_t>(c));
+  detail::StationKernel sim(std::move(spec), rng);
   for (std::size_t s = 1; s <= samples; ++s)
-    events.push(horizon * static_cast<double>(s) / static_cast<double>(samples),
-                kSample, 0);
-
+    sim.events.push(
+        horizon * static_cast<double>(s) / static_cast<double>(samples),
+        detail::kSample);
+  sim.run();
   NetworkTrace trace;
-  trace.times.reserve(samples);
-  trace.total_jobs.reserve(samples);
-
-  while (!events.empty() && events.top().time <= horizon) {
-    STOSCHED_TIME_START(network_fes);
-    const Event e = events.pop();
-    STOSCHED_TIME_STOP(network_fes);
-    now = e.time;
-    switch (e.type) {
-      case kArrival: {
-        const auto cls = static_cast<std::size_t>(e.a);
-        STOSCHED_TIME_START(network_sampling);
-        const double g =
-            gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
-        STOSCHED_TIME_STOP(network_sampling);
-        events.push(now + g, kArrival, e.a);
-        // Batch processes deliver several simultaneous jobs per epoch (the
-        // default batch_size() is 1 and draws nothing).
-        const std::size_t jobs =
-            arrival[cls]->batch_size(arrival_state[cls], arrival_rng[cls]);
-        total_jobs += static_cast<long>(jobs);
-        STOSCHED_TIME_START(network_bookkeeping);
-        total_ta.observe(now, static_cast<double>(total_jobs));
-        STOSCHED_TIME_STOP(network_bookkeeping);
-        for (std::size_t i = 0; i < jobs; ++i) enqueue_job(cls);
-        break;
-      }
-      case kServiceDone: {
-        const auto st = static_cast<std::size_t>(e.a);
-        const std::size_t cls = serving[st];
-        busy[st] = 0;
-        const std::size_t next = config.classes[cls].next;
-        if (next == NetworkClass::kExit) {
-          --total_jobs;
-          total_ta.observe(now, static_cast<double>(total_jobs));
-        } else {
-          enqueue_job(next);
-        }
-        start_if_idle(st);
-        break;
-      }
-      case kSample:
-        trace.times.push_back(now);
-        trace.total_jobs.push_back(static_cast<double>(total_jobs));
-        break;
-    }
-  }
-
-  trace.mean_total = total_ta.finish(horizon);
+  trace.times = std::move(sim.sample_times);
+  trace.total_jobs = std::move(sim.samples);
+  trace.mean_total = sim.mean_count(0);
   trace.final_total = trace.total_jobs.empty() ? 0.0 : trace.total_jobs.back();
-  obs::wait_time_histogram().merge(wait_hist);
 
   // Least-squares slope of the sampled totals.
   const std::size_t m = trace.times.size();

@@ -1,288 +1,121 @@
 #include "queueing/polling.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
-#include "des/event_queue.hpp"
-#include "des/fifo_arena.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "queueing/station.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
-#include "util/stats.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing {
 
-// Hot-path phase accounting (zero-cost unless -DSTOSCHED_TIME_STATS).
-STOSCHED_TIME_DECLARE(polling_fes);
-STOSCHED_TIME_DECLARE(polling_sampling);
-STOSCHED_TIME_DECLARE(polling_bookkeeping);
-
 namespace {
 
-constexpr std::uint32_t kArrival = 0;
-constexpr std::uint32_t kServiceDone = 1;
-constexpr std::uint32_t kSwitchDone = 2;
+// Server movement and switchovers over the station kernel's arrivals,
+// queues and statistics (one queue per class, one server that moves).
+constexpr std::uint32_t kSwitchDone = detail::kModelEvent;
 
 enum class ServerState { kIdle, kSwitching, kServing };
 
 struct PollingSim {
-  const std::vector<ClassSpec>& classes;
   const PollingOptions& opt;
-  std::size_t n;
-
-  // Per-purpose substreams (as in mg1.cpp): queue j's arrivals and services
-  // draw from their own streams and setups from a third, so every polling
-  // discipline sees the identical workload under common random numbers.
-  std::vector<Rng> arrival_rng;
-  std::vector<Rng> service_rng;
-  Rng switch_rng;
-
-  // Effective per-queue arrival processes (Poisson default; null = no
-  // arrivals) + per-replication sampler state; see dist/arrival.hpp.
-  std::vector<ArrivalPtr> arrival;
-  std::vector<ArrivalState> arrival_state;
-
-  // Sampling procedures resolved once per queue (bit-identical draws; see
-  // FlatSampler / CachedGapSampler).
-  std::vector<CachedGapSampler> gap;
-  std::vector<FlatSampler> service_flat;
-  FlatSampler switch_flat;
-
-  EventQueue events;
-  std::vector<FifoArena<double>> queue;
-  std::vector<long> in_system;
-  std::vector<TimeAverage> count_ta;
-  TimeAverage switch_ta, serve_ta;
+  detail::StationKernel k;  // model_ta: [switching, serving]
+  FlatSampler switch_flat;  // drawn on the kernel's auxiliary stream
   std::vector<double> cmu;  // static priority index per queue
 
   ServerState state = ServerState::kIdle;
-  std::size_t at = 0;       // queue the server is at (or moving toward)
-  std::size_t gate = 0;     // gated discipline: jobs admitted this visit
-  std::size_t served_this_visit = 0;
-  double now = 0.0;
-  bool warm = false;
-  obs::LocalHistogram wait_hist;  // post-warmup waits, merged once per run
+  std::size_t at = 0;  // queue the server is at (or moving toward)
+  // Services left in this visit: the jobs present at the poll (gated),
+  // `limit` (k-limited), unbounded otherwise.
+  std::size_t budget = 0;
 
-  PollingSim(const std::vector<ClassSpec>& c, const PollingOptions& o, Rng& r)
-      : classes(c), opt(o), n(c.size()) {
-    STOSCHED_REQUIRE(n >= 1, "need at least one queue");
-    STOSCHED_REQUIRE(opt.switchover != nullptr, "switchover law required");
-    STOSCHED_REQUIRE(opt.horizon > 0.0, "horizon must be > 0");
-    STOSCHED_REQUIRE(opt.warmup >= 0.0, "warmup must be >= 0");
-    const Rng root(r());
-    arrival_rng.reserve(n);
-    service_rng.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      arrival_rng.push_back(root.stream(2 * j));
-      service_rng.push_back(root.stream(2 * j + 1));
-    }
-    switch_rng = root.stream(2 * n);
-    arrival.reserve(n);
-    for (const auto& spec : classes) arrival.push_back(effective_arrival(spec));
-    arrival_state.resize(n);
-    gap.reserve(n);
-    service_flat.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      gap.emplace_back(arrival[j].get());
-      service_flat.push_back(classes[j].service->flat());
-    }
-    switch_flat = opt.switchover->flat();
-    events.reserve(2 * n + 16);
-    queue.resize(n);
-    in_system.assign(n, 0);
-    count_ta.resize(n);
-    cmu.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      count_ta[j].observe(0.0, 0.0);
-      cmu[j] = classes[j].holding_cost / classes[j].service->mean();
-    }
-    switch_ta.observe(0.0, 0.0);
-    serve_ta.observe(0.0, 0.0);
-  }
-
-  void bump(std::size_t q, long d) {
-    in_system[q] += d;
-    STOSCHED_ASSERT(in_system[q] >= 0, "negative queue population");
-    STOSCHED_TIME_START(polling_bookkeeping);
-    count_ta[q].observe(now, static_cast<double>(in_system[q]));
-    STOSCHED_TIME_STOP(polling_bookkeeping);
+  PollingSim(const std::vector<ClassSpec>& classes, const PollingOptions& o,
+             Rng& r)
+      : opt(o),
+        k(detail::class_station(classes, o.horizon, o.warmup), r),
+        switch_flat(o.switchover->flat()) {
+    for (const auto& c : classes)
+      cmu.push_back(c.holding_cost / c.service->mean());
+    k.model_ta.resize(2);
   }
 
   void set_state(ServerState s) {
     state = s;
-    switch_ta.observe(now, s == ServerState::kSwitching ? 1.0 : 0.0);
-    serve_ta.observe(now, s == ServerState::kServing ? 1.0 : 0.0);
+    k.model_ta[0].observe(k.now, s == ServerState::kSwitching ? 1.0 : 0.0);
+    k.model_ta[1].observe(k.now, s == ServerState::kServing ? 1.0 : 0.0);
   }
 
-  /// Queue the server should work on next, or SIZE_MAX to idle in place.
+  /// Queue the server should work on next, or kNone to idle in place: the
+  /// first nonempty queue in cyclic order after `at` (so `at` itself is
+  /// reconsidered last, after a full tour), or for greedy-cµ the highest-cµ
+  /// nonempty queue (lowest index on ties).
   std::size_t choose_target() const {
-    if (opt.discipline == PollingDiscipline::kGreedyCmu) {
-      std::size_t best = SIZE_MAX;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (queue[j].empty()) continue;
-        if (best == SIZE_MAX || cmu[j] > cmu[best]) best = j;
-      }
-      return best;
-    }
-    // Cyclic order starting after the current position (so `at` itself is
-    // reconsidered last, after a full tour).
+    const bool greedy = opt.discipline == PollingDiscipline::kGreedyCmu;
+    const std::size_t n = cmu.size();
+    std::size_t best = detail::kNone;
     for (std::size_t step = 0; step < n; ++step) {
-      const std::size_t q = (at + 1 + step) % n;
-      if (!queue[q].empty()) return q;
+      const std::size_t q = greedy ? step : (at + 1 + step) % n;
+      if (k.queue[q].empty()) continue;
+      if (!greedy) return q;
+      if (best == detail::kNone || cmu[q] > cmu[best]) best = q;
     }
-    return SIZE_MAX;
+    return best;
   }
 
   void start_service() {
-    const std::size_t q = at;
-    STOSCHED_ASSERT(!queue[q].empty(), "serving an empty queue");
-    const double arrived = queue[q].front();
-    queue[q].pop_front();
-    if (warm) wait_hist.record(now - arrived);
+    k.serve(0, at);
     set_state(ServerState::kServing);
-    ++served_this_visit;
-    if (gate > 0) --gate;
-    STOSCHED_TIME_START(polling_sampling);
-    const double duration = service_flat[q].sample(service_rng[q]);
-    STOSCHED_TIME_STOP(polling_sampling);
-    events.push(now + duration, kServiceDone, static_cast<std::uint32_t>(q));
+    if (budget > 0) --budget;
   }
 
   void begin_switch(std::size_t target) {
     at = target;
     set_state(ServerState::kSwitching);
-    STOSCHED_TIME_START(polling_sampling);
-    const double duration = switch_flat.sample(switch_rng);
-    STOSCHED_TIME_STOP(polling_sampling);
-    events.push(now + duration, kSwitchDone,
-                static_cast<std::uint32_t>(target));
+    k.events.push(k.now + switch_flat.sample(k.aux_rng), kSwitchDone,
+                  static_cast<std::uint32_t>(target));
   }
 
-  /// Decide what to do when the server becomes free at `at`.
+  /// Decide what to do when the server becomes free at `at`: continue the
+  /// visit, or move to the next target (cyclic, or the greedy cµ argmax,
+  /// which serves in place when it already is there), or idle.
   void decide() {
-    switch (opt.discipline) {
-      case PollingDiscipline::kExhaustive:
-        if (!queue[at].empty()) {
-          start_service();
-          return;
-        }
-        break;
-      case PollingDiscipline::kGated:
-        if (gate > 0 && !queue[at].empty()) {
-          start_service();
-          return;
-        }
-        break;
-      case PollingDiscipline::kLimited:
-        if (served_this_visit < opt.limit && !queue[at].empty()) {
-          start_service();
-          return;
-        }
-        break;
-      case PollingDiscipline::kGreedyCmu: {
-        const std::size_t target = choose_target();
-        if (target == SIZE_MAX) {
-          set_state(ServerState::kIdle);
-          return;
-        }
-        if (target == at) {
-          start_service();
-        } else {
-          begin_switch(target);
-        }
-        return;
-      }
-    }
-    // Visit over: move to the next nonempty queue (cyclic), or idle.
+    const bool greedy = opt.discipline == PollingDiscipline::kGreedyCmu;
+    if (!greedy && budget > 0 && !k.queue[at].empty()) return start_service();
     const std::size_t target = choose_target();
-    if (target == SIZE_MAX) {
+    if (target == detail::kNone)
       set_state(ServerState::kIdle);
-      return;
-    }
-    begin_switch(target);
+    else if (greedy && target == at)
+      start_service();
+    else
+      begin_switch(target);
   }
 
-  void on_poll() {
-    // Server finished switching and now polls queue `at`.
-    gate = queue[at].size();
-    served_this_visit = 0;
+  /// The server polls queue `at`: a new visit starts.
+  void poll() {
+    if (opt.discipline == PollingDiscipline::kGated)
+      budget = k.queue[at].size();
+    else if (opt.discipline == PollingDiscipline::kLimited)
+      budget = opt.limit;
+    else
+      budget = detail::kNone;
     decide();
   }
 
-  // Time-averages restart at the warmup epoch, as in simulate_mmm.
-  void warm_up() {
-    warm = true;
-    for (auto& ta : count_ta) ta.reset(opt.warmup);
-    switch_ta.reset(opt.warmup);
-    serve_ta.reset(opt.warmup);
-  }
-
-  PollingResult run() {
-    for (std::size_t j = 0; j < n; ++j)
-      if (arrival[j])
-        events.push(gap[j].next_gap(arrival_state[j], arrival_rng[j]),
-                    kArrival, static_cast<std::uint32_t>(j));
-
-    const double t_end = opt.warmup + opt.horizon;
-    while (!events.empty() && events.top().time <= t_end) {
-      STOSCHED_TIME_START(polling_fes);
-      const Event e = events.pop();
-      STOSCHED_TIME_STOP(polling_fes);
-      now = e.time;
-      if (!warm && now >= opt.warmup) warm_up();
-      const auto q = static_cast<std::size_t>(e.a);
-      switch (e.type) {
-        case kArrival: {
-          STOSCHED_TIME_START(polling_sampling);
-          const double g =
-              gap[q].next_gap(arrival_state[q], arrival_rng[q]);
-          STOSCHED_TIME_STOP(polling_sampling);
-          events.push(now + g, kArrival, e.a);
-          // Batch processes deliver several simultaneous jobs per epoch
-          // (the default batch_size() is 1 and draws nothing).
-          const std::size_t jobs =
-              arrival[q]->batch_size(arrival_state[q], arrival_rng[q]);
-          for (std::size_t i = 0; i < jobs; ++i) {
-            bump(q, +1);
-            queue[q].push_back(now);
-          }
-          if (state == ServerState::kIdle) {
-            // The idle server reacts as if re-polling its current position.
-            if (q == at &&
-                opt.discipline != PollingDiscipline::kGreedyCmu) {
-              gate = queue[at].size();
-              served_this_visit = 0;
-              decide();
-            } else {
-              decide();
-            }
-          }
-          break;
-        }
-        case kServiceDone:
-          bump(q, -1);
-          decide();
-          break;
-        case kSwitchDone:
-          on_poll();
-          break;
+  void run() {
+    Event e;
+    while (k.next(e)) {
+      const std::size_t q = e.a;
+      if (e.type == detail::kArrival) {
+        k.admit(q);
+        // The idle server (all queues were empty) re-polls its position.
+        if (state == ServerState::kIdle) poll();
+      } else if (e.type == detail::kDeparture) {
+        k.add(q, -1);
+        decide();
+      } else {
+        poll();  // kSwitchDone
       }
     }
-    now = t_end;
-    if (!warm) warm_up();  // no event reached the warmup epoch
-
-    PollingResult out;
-    out.mean_in_system.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      out.mean_in_system[j] = count_ta[j].finish(t_end);
-      out.cost_rate += classes[j].holding_cost * out.mean_in_system[j];
-    }
-    out.switching_fraction = switch_ta.finish(t_end);
-    out.serving_fraction = serve_ta.finish(t_end);
-    obs::wait_time_histogram().merge(wait_hist);
-    return out;
   }
 };
 
@@ -292,9 +125,18 @@ PollingResult simulate_polling(const std::vector<ClassSpec>& classes,
                                const PollingOptions& options, Rng& rng) {
   STOSCHED_EXPECTS(!classes.empty(),
                    "simulate_polling needs at least one queue");
+  STOSCHED_REQUIRE(options.switchover != nullptr, "switchover law required");
   STOSCHED_TRACE_SPAN("sim", "simulate_polling");
   PollingSim sim(classes, options, rng);
-  const PollingResult res = sim.run();
+  sim.run();
+  PollingResult res;
+  res.mean_in_system.resize(classes.size());
+  for (std::size_t j = 0; j < classes.size(); ++j) {
+    res.mean_in_system[j] = sim.k.mean_count(j);
+    res.cost_rate += classes[j].holding_cost * res.mean_in_system[j];
+  }
+  res.switching_fraction = sim.k.model_ta[0].finish(sim.k.spec.t_end);
+  res.serving_fraction = sim.k.model_ta[1].finish(sim.k.spec.t_end);
   // The server partitions time into serving / switching / idle, so the two
   // reported fractions are each in [0, 1] and sum to at most 1.
   STOSCHED_ENSURES(res.serving_fraction >= 0.0 && res.switching_fraction >= 0.0,
