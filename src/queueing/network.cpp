@@ -24,6 +24,7 @@ void NetworkConfig::validate() const {
     STOSCHED_REQUIRE(station_priority.size() == num_stations,
                      "per-station priority shape mismatch");
     std::vector<std::size_t> station;
+    station.reserve(classes.size());
     for (const auto& c : classes) station.push_back(c.station);
     detail::require_priority(station_priority, station);
   }

@@ -120,7 +120,9 @@ bool StationKernel::next(Event& e) {
   return true;
 }
 
-void StationKernel::run() {
+// Flattened: the whole event path (next, admit, dispatch, serve, depart)
+// inlines into this one loop, as the per-simulator loops it replaced did.
+[[gnu::flatten]] void StationKernel::run() {
   Event e;
   while (next(e)) {
     if (e.type == kArrival) {
@@ -230,8 +232,7 @@ void StationKernel::depart(const Event& e) {
     sojourn_stat[cls].push(now - s.arrived);
     sojourn_hist.record(now - s.arrived);
   }
-  --s.busy;
-  if (spec.per_class) busy_ta[st].observe(now, static_cast<double>(s.busy));
+  const unsigned level = s.busy--;
   const std::size_t to = route(cls);
   if (spec.per_class || to == kNone) add(cls, -1);
   if (to != kNone) {
@@ -241,6 +242,10 @@ void StationKernel::depart(const Event& e) {
     dispatch(spec.station[to]);
   }
   dispatch(st);
+  // A start records the busy level itself; record the drop only if no job
+  // took the freed server.
+  if (spec.per_class && s.busy < level)
+    busy_ta[st].observe(now, static_cast<double>(s.busy));
 }
 
 }  // namespace stosched::queueing::detail
