@@ -82,7 +82,7 @@ StationKernel::StationKernel(StationSpec s, Rng& caller)
   queue.resize(n);
   if (spec.fcfs) order.resize(spec.stations);
   if (spec.preemptive) banked.resize(n);
-  at.resize(spec.stations);
+  station_state.resize(spec.stations);
   count.assign(spec.per_class ? n : 1, 0);
   count_ta.resize(count.size());
   busy_ta.resize(spec.stations);
@@ -170,7 +170,7 @@ std::size_t StationKernel::pick(std::size_t st) const {
 }
 
 void StationKernel::dispatch(std::size_t st) {
-  Station& s = at[st];
+  Station& s = station_state[st];
   while (s.busy < spec.servers || spec.preemptive) {
     const std::size_t cls = pick(st);
     if (cls == kNone) return;
@@ -191,7 +191,7 @@ void StationKernel::dispatch(std::size_t st) {
 }
 
 void StationKernel::serve(std::size_t st, std::size_t cls) {
-  Station& s = at[st];
+  Station& s = station_state[st];
   s.cls = cls;
   s.arrived = queue[cls].front();
   queue[cls].pop_front();
@@ -226,7 +226,7 @@ std::size_t StationKernel::route(std::size_t cls) {
 void StationKernel::depart(const Event& e) {
   const std::size_t cls = e.a;
   const std::size_t st = spec.station[cls];
-  Station& s = at[st];
+  Station& s = station_state[st];
   if (spec.preemptive && e.b != s.gen) return;  // preempted
   if (spec.sojourn && warm) {
     sojourn_stat[cls].push(now - s.arrived);

@@ -137,7 +137,7 @@ struct StationKernel {
   /// Per class: unfinished service of the preempted jobs at the head of
   /// `queue`, the next to resume last.
   std::vector<std::vector<double>> banked;
-  std::vector<Station> at;  ///< per station
+  std::vector<Station> station_state;  ///< per station
 
   std::vector<long> count;  ///< per class, or the total alone
   std::vector<TimeAverage> count_ta;
