@@ -90,6 +90,16 @@ void fluid_replication(const FluidScenario& s, const FluidGrid& grid,
   out[0] = cost / (s.scale * s.scale);  // fluid scaling of the cost integral
 }
 
+/// K policies on one realized instance: `out` holds K metric vectors.
+void online_replication(const OnlineScenario& s,
+                        std::span<const online::OnlinePolicy* const> policies,
+                        Rng& rng, std::span<double> out) {
+  STOSCHED_REQUIRE(s.arrival != nullptr,
+                   "online scenario needs an arrival process");
+  online::run_online_replication(*s.arrival, s.types, s.env, s.horizon,
+                                 s.bound, policies, rng, out);
+}
+
 }  // namespace
 
 std::vector<NetworkPolicy> lu_kumar_policies() {
@@ -242,10 +252,8 @@ void run_replication(const TreeScenario& s, batch::TreePolicy policy,
 void run_replication(const OnlineScenario& s,
                      const online::OnlinePolicy& policy, Rng& rng,
                      std::span<double> out) {
-  STOSCHED_REQUIRE(s.arrival != nullptr,
-                   "online scenario needs an arrival process");
-  online::run_online_replication(*s.arrival, s.types, s.env, s.horizon,
-                                 s.bound, policy, rng, out);
+  const online::OnlinePolicy* const one = &policy;
+  online_replication(s, {&one, 1}, rng, out);
 }
 
 EngineResult run_queue(const QueueScenario& s, const QueuePolicy& policy,
@@ -421,13 +429,24 @@ PairedResult compare_online_policies(
     const OnlineScenario& s, const std::vector<online::OnlinePolicyPtr>& arms,
     const EngineOptions& opt, Pairing pairing) {
   STOSCHED_EXPECTS(!arms.empty(), "paired comparison needs at least one arm");
-  for (const auto& a : arms)
+  std::vector<const online::OnlinePolicy*> policies;
+  for (const auto& a : arms) {
     STOSCHED_REQUIRE(a != nullptr, "online policy arm must be non-null");
-  return run_paired(opt, arms.size(), metric_count(s), pairing,
-                    [&](std::size_t, std::size_t k, Rng& rng,
-                        std::span<double> out) {
-                      run_replication(s, *arms[k], rng, out);
-                    });
+    policies.push_back(a.get());
+  }
+  // Independent streams give every arm its own instance; under CRN the arms
+  // share one, so it is realized and bounded once per replication.
+  if (pairing == Pairing::kIndependentStreams)
+    return run_paired(opt, arms.size(), metric_count(s), pairing,
+                      [&](std::size_t, std::size_t k, Rng& rng,
+                          std::span<double> out) {
+                        run_replication(s, *policies[k], rng, out);
+                      });
+  return run_paired_replications(
+      opt, arms.size(), metric_count(s),
+      [&](std::size_t, Rng& rng, std::span<double> out) {
+        online_replication(s, policies, rng, out);
+      });
 }
 
 }  // namespace stosched::experiment

@@ -15,7 +15,12 @@
 //     *same* substream per replication, turning a policy comparison into a
 //     paired-difference estimate whose variance drops by the (usually
 //     large) common-variation term — see the CRN tests for the measured
-//     factor on M/G/1 discipline comparisons.
+//     factor on M/G/1 discipline comparisons. Every paired run goes through
+//     `run_paired_replications`, whose body fills all K arms of one
+//     replication in one call; `run_paired` is its one-arm-per-call
+//     adapter. A CRN body that realizes something shared by every arm (the
+//     online instance and its offline LP bound) therefore computes it once
+//     per replication instead of once per arm.
 //   * *Sequential stopping*: instead of guessing a replication count, run
 //     batches until every tracked metric's (1-alpha) CI half-width falls
 //     below `rel_precision * |mean|`, with a hard cap. Deterministic in
@@ -222,15 +227,18 @@ EngineResult run_fixed(std::size_t replications, std::uint64_t seed,
   return run(opt, dims, static_cast<Body&&>(body));
 }
 
-/// K-arm comparison of `body(rep, arm, rng, out)`. Under
-/// `Pairing::kCommonRandomNumbers` every arm replays the same substream for
-/// replication r (the CRN design); under `kIndependentStreams` each
-/// (replication, arm) pair draws from its own substream. The stopping rule
-/// tracks the *difference* metrics (arm k − arm 0) — those are what a
-/// comparison wants tight — and the run is deterministic in (opt, body).
+/// Replication-granular K-arm comparison: `body(rep, rng, out)` fills all
+/// `arms × dims` outputs of replication r in one call — `out[k * dims + d]`
+/// is arm k's metric d, zeroed on entry — from `rng = Rng(seed).stream(r)`.
+/// This is the core of every paired run: a body that shares work across the
+/// arms of one replication (a CRN instance realized once, a bound computed
+/// once) calls it directly. The stopping rule tracks the *difference*
+/// metrics (arm k − arm 0) — those are what a comparison wants tight — and
+/// the run is deterministic in (opt, body).
 template <class Body>
-PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
-                        std::size_t dims, Pairing pairing, Body&& body) {
+PairedResult run_paired_replications(const EngineOptions& opt,
+                                     std::size_t arms, std::size_t dims,
+                                     Body&& body) {
   STOSCHED_REQUIRE(arms >= 2, "a paired comparison needs at least two arms");
   STOSCHED_REQUIRE(dims > 0, "need at least one metric dimension");
   const Rng master(opt.seed);
@@ -244,26 +252,17 @@ PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
   const auto [done, converged] = detail::drive(
       opt, slots,
       [&](std::size_t lo, std::size_t hi, std::vector<RunningStat>& acc) {
-        std::vector<double> out(dims, 0.0);
-        std::vector<double> base(dims, 0.0);
+        std::vector<double> out(arms * dims, 0.0);
         for (std::size_t r = lo; r < hi; ++r) {
           STOSCHED_TRACE_SPAN("engine", "replication");
-          const Rng rep_stream = master.stream(r);
-          for (std::size_t k = 0; k < arms; ++k) {
-            STOSCHED_TRACE_SPAN("engine", "arm");
-            Rng rng = pairing == Pairing::kCommonRandomNumbers
-                          ? rep_stream
-                          : master.stream(r * arms + k);
-            std::fill(out.begin(), out.end(), 0.0);
-            body(r, k, rng, std::span<double>(out));
-            for (std::size_t d = 0; d < dims; ++d) {
-              acc[k * dims + d].push(out[d]);
-              if (k == 0)
-                base[d] = out[d];
-              else
-                acc[arms * dims + (k - 1) * dims + d].push(out[d] - base[d]);
-            }
-          }
+          Rng rng = master.stream(r);
+          std::fill(out.begin(), out.end(), 0.0);
+          body(r, rng, std::span<double>(out));
+          for (std::size_t i = 0; i < arms * dims; ++i) acc[i].push(out[i]);
+          for (std::size_t k = 1; k < arms; ++k)
+            for (std::size_t d = 0; d < dims; ++d)
+              acc[arms * dims + (k - 1) * dims + d].push(out[k * dims + d] -
+                                                         out[d]);
         }
       },
       [&](const std::vector<RunningStat>& acc) {
@@ -278,6 +277,26 @@ PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
   res.replications = done;
   res.converged = converged;
   return res;
+}
+
+/// K-arm comparison of `body(rep, arm, rng, out)`, one arm per call, over
+/// `run_paired_replications`. Under `Pairing::kCommonRandomNumbers` every
+/// arm replays the same substream for replication r (the CRN design); under
+/// `kIndependentStreams` each (replication, arm) pair draws from its own
+/// substream.
+template <class Body>
+PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
+                        std::size_t dims, Pairing pairing, Body&& body) {
+  const Rng master(opt.seed);
+  return run_paired_replications(
+      opt, arms, dims, [&](std::size_t r, Rng&, std::span<double> out) {
+        for (std::size_t k = 0; k < arms; ++k) {
+          STOSCHED_TRACE_SPAN("engine", "arm");
+          Rng rng = master.stream(
+              pairing == Pairing::kCommonRandomNumbers ? r : r * arms + k);
+          body(r, k, rng, out.subspan(k * dims, dims));
+        }
+      });
 }
 
 }  // namespace stosched::experiment

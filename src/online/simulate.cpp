@@ -137,30 +137,35 @@ void run_online_replication(const ArrivalProcess& arrival,
                             const std::vector<JobType>& types,
                             const Environment& env, double horizon,
                             const OfflineBoundOptions& bound,
-                            const OnlinePolicy& policy, Rng& rng,
-                            std::span<double> out) {
-  STOSCHED_REQUIRE(out.size() == online_metric_count(),
+                            std::span<const OnlinePolicy* const> policies,
+                            Rng& rng, std::span<double> out) {
+  const std::size_t dims = online_metric_count();
+  STOSCHED_REQUIRE(!policies.empty(), "need at least one online policy");
+  STOSCHED_REQUIRE(out.size() == policies.size() * dims,
                    "metric span size mismatch");
   // Per-purpose substreams (see the header comment): the workload streams
-  // (arrival/type/size/sample) are consumed identically by every policy
-  // arm; only the policy stream's usage differs between arms.
+  // (arrival/type/size/sample) realize the instance every policy faces;
+  // each policy gets its own copy of the policy stream.
   const Rng root(rng());
   Rng arrival_rng = root.stream(0);
   Rng type_rng = root.stream(1);
   Rng size_rng = root.stream(2);
   Rng sample_rng = root.stream(3);
-  Rng policy_rng = root.stream(4);
 
   const OnlineInstance inst = generate_online_instance(
       arrival, types, horizon, arrival_rng, type_rng, size_rng, sample_rng);
-  const OnlineResult res =
-      simulate_online(inst, env, types, policy, policy_rng);
   const OfflineBound lb = offline_lower_bound(inst, env, types, bound);
-
-  out[0] = lb.value > 0.0 ? res.weighted_completion / lb.value : 1.0;
-  out[1] = res.weighted_completion;
-  out[2] = lb.value;
-  out[3] = static_cast<double>(res.jobs);
+  for (std::size_t k = 0; k < policies.size(); ++k) {
+    STOSCHED_REQUIRE(policies[k] != nullptr, "online policy must be non-null");
+    Rng policy_rng = root.stream(4);
+    const OnlineResult res =
+        simulate_online(inst, env, types, *policies[k], policy_rng);
+    const std::span<double> o = out.subspan(k * dims, dims);
+    o[0] = lb.value > 0.0 ? res.weighted_completion / lb.value : 1.0;
+    o[1] = res.weighted_completion;
+    o[2] = lb.value;
+    o[3] = static_cast<double>(res.jobs);
+  }
 }
 
 }  // namespace stosched::online

@@ -1,13 +1,14 @@
 // simulate.hpp — the online-scheduling simulator and its engine adapter.
 //
-// One replication = one realized sample path pushed through one policy:
-// jobs arrive over time, are assigned to a machine the instant they arrive
-// (using believed processing times only), and each machine serves its queue
-// nonpreemptively in the policy's local priority order while the *realized*
-// processing times drive the clock. Because assignment and sequencing
-// condition only on believed state, the simulator keeps the believed and
-// realized views strictly separate: policies receive `MachineState` (no
-// realized quantities), the event loop owns the realized completion clocks.
+// One replication = one realized sample path pushed through each policy
+// under comparison: jobs arrive over time, are assigned to a machine the
+// instant they arrive (using believed processing times only), and each
+// machine serves its queue nonpreemptively in the policy's local priority
+// order while the *realized* processing times drive the clock. Because
+// assignment and sequencing condition only on believed state, the simulator
+// keeps the believed and realized views strictly separate: policies receive
+// `MachineState` (no realized quantities), the event loop owns the realized
+// completion clocks.
 //
 // The replication metric vector is
 //   [ratio, weighted_completion, lower_bound, jobs]
@@ -50,16 +51,20 @@ OnlineResult simulate_online(const OnlineInstance& inst,
 std::size_t online_metric_count();
 std::vector<std::string> online_metric_names();
 
-/// Uniform replication entry point: derive the five per-purpose substreams
-/// (arrival, type, size, sample, policy) from one draw of `rng`, generate
-/// the instance, run the policy, bound the instance offline, and write the
-/// metric vector. CRN arms replaying the same `rng` state face identical
-/// instances and identical lower bounds.
+/// Uniform replication entry point for K >= 1 policies on one realized
+/// instance: derive the five per-purpose substreams (arrival, type, size,
+/// sample, policy) from one draw of `rng`, generate the instance and bound
+/// it offline once, then run each policy on a fresh copy of the policy
+/// substream. `out` holds K metric vectors back to back (policy k's at
+/// `out[k * online_metric_count()]`). Each policy's vector is bit-identical
+/// to a one-policy call replaying the same `rng` state, so CRN arms may be
+/// scored together here (one instance, one LP solve per replication) or
+/// one call per arm with the same result.
 void run_online_replication(const ArrivalProcess& arrival,
                             const std::vector<JobType>& types,
                             const Environment& env, double horizon,
                             const OfflineBoundOptions& bound,
-                            const OnlinePolicy& policy, Rng& rng,
-                            std::span<double> out);
+                            std::span<const OnlinePolicy* const> policies,
+                            Rng& rng, std::span<double> out);
 
 }  // namespace stosched::online

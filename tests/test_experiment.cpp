@@ -3,6 +3,7 @@
 // uniform run_replication adapters over the simulators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -108,14 +109,19 @@ TEST(Engine, PairedDiffMatchesArmMeans) {
   opt.seed = 11;
   opt.max_replications = 96;
   const auto s = short_t9();
-  const auto res = compare_queue_policies(s, {fcfs_arm(), cmu_arm(s)}, opt,
-                                          Pairing::kCommonRandomNumbers);
-  ASSERT_EQ(res.arm.size(), 2u);
-  ASSERT_EQ(res.diff.size(), 1u);
+  // Three arms, so a difference taken against the wrong base arm shows.
+  QueuePolicy reversed = cmu_arm(s);
+  std::reverse(reversed.priority.begin(), reversed.priority.end());
+  const auto res =
+      compare_queue_policies(s, {fcfs_arm(), cmu_arm(s), reversed}, opt,
+                             Pairing::kCommonRandomNumbers);
+  ASSERT_EQ(res.arm.size(), 3u);
+  ASSERT_EQ(res.diff.size(), 2u);
   EXPECT_EQ(res.replications, 96u);
-  // E[X1 - X0] == E[X1] - E[X0] up to floating-point association.
-  EXPECT_NEAR(res.diff[0][0].mean(),
-              res.arm[1][0].mean() - res.arm[0][0].mean(), 1e-9);
+  // E[Xk - X0] == E[Xk] - E[X0] up to floating-point association.
+  for (std::size_t k = 1; k < 3; ++k)
+    EXPECT_NEAR(res.diff[k - 1][0].mean(),
+                res.arm[k][0].mean() - res.arm[0][0].mean(), 1e-9);
 }
 
 TEST(Engine, CrnCutsDifferenceVarianceAtLeastTwofold) {

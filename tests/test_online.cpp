@@ -8,25 +8,37 @@
 //   * policy behavior: greedy WSEPT beats random assignment on the
 //     unrelated-machine scenario;
 //   * CRN under online workloads: arms replaying the same substreams face
-//     identical instances, enforced as a >= 2x paired-variance cut;
+//     identical instances, enforced as a >= 2x paired-variance cut; the
+//     shared-instance comparison (one instance and one LP bound per
+//     replication) is bit-identical to scoring each arm separately, at 1
+//     and 4 threads, and solves exactly one LP per replication;
 //   * scenario registry + sweep helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "experiment/adapters.hpp"
 #include "experiment/engine.hpp"
 #include "experiment/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "online/lower_bound.hpp"
 #include "online/model.hpp"
 #include "online/policies.hpp"
 #include "online/simulate.hpp"
 #include "util/rng.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace stosched {
 namespace {
@@ -353,6 +365,113 @@ TEST(OnlinePolicies, CrnCutsDifferenceVarianceOnOnlinePair) {
       << "CRN variance " << var_crn << " vs independent " << var_ind;
   EXPECT_NEAR(crn.diff[0][1].mean(), ind.diff[0][1].mean(),
               4.0 * (crn.diff[0][1].sem() + ind.diff[0][1].sem()));
+}
+
+/// Run `f` with the engine on `threads` OpenMP threads, then restore the
+/// previous count (a no-op without OpenMP).
+template <class F>
+auto with_threads(int threads, F&& f) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  auto result = f();
+  omp_set_num_threads(saved);
+  return result;
+#else
+  (void)threads;
+  return f();
+#endif
+}
+
+void expect_bit_identical(const RunningStat& a, const RunningStat& b,
+                          const std::string& where) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(a.count(), b.count()) << where;
+  EXPECT_EQ(bits(a.mean()), bits(b.mean())) << where;
+  EXPECT_EQ(bits(a.variance()), bits(b.variance())) << where;
+  EXPECT_EQ(bits(a.min()), bits(b.min())) << where;
+  EXPECT_EQ(bits(a.max()), bits(b.max())) << where;
+}
+
+TEST(OnlineCrn, SharedInstanceMatchesPerArmScoringBitForBit) {
+  // Under CRN compare_online_policies realizes each replication's instance
+  // and offline bound once and scores every arm against it. The reference
+  // is the per-arm design: run_paired calling the one-policy replication
+  // once per arm, each call regenerating the instance and re-solving the
+  // bound. Both must agree in every statistic, bit for bit, at any thread
+  // count.
+  OnlineScenario lp = experiment::online_scenario("online-bernoulli");
+  lp.horizon = 10.0;
+  lp.bound.use_lp = true;
+  const std::vector<OnlineScenario> cases{
+      lp, experiment::online_scenario("online-unrelated"),
+      experiment::online_scenario("online-bursty")};
+  // The four canonical arms plus a second random-assignment arm: with two
+  // arms drawing from the policy stream, a stream shared between arms
+  // instead of copied per arm would show.
+  auto arms = experiment::online_policy_arms();
+  arms.push_back(online::random_assignment_policy());
+  experiment::EngineOptions opt;
+  opt.seed = 77;
+  opt.min_replications = 16;
+  opt.batch = 16;
+  opt.max_replications = 48;
+  opt.rel_precision = 1e-6;  // unreachable: three stopping checks, then cap
+  for (const OnlineScenario& s : cases) {
+    for (const int threads : {1, 4}) {
+      const auto shared = with_threads(threads, [&] {
+        return experiment::compare_online_policies(
+            s, arms, opt, experiment::Pairing::kCommonRandomNumbers);
+      });
+      const auto per_arm = with_threads(threads, [&] {
+        return experiment::run_paired(
+            opt, arms.size(), online::online_metric_count(),
+            experiment::Pairing::kCommonRandomNumbers,
+            [&](std::size_t, std::size_t k, Rng& rng, std::span<double> out) {
+              experiment::run_replication(s, *arms[k], rng, out);
+            });
+      });
+      const std::string where =
+          s.name + " @ " + std::to_string(threads) + " threads";
+      EXPECT_EQ(shared.replications, per_arm.replications) << where;
+      EXPECT_EQ(shared.converged, per_arm.converged) << where;
+      ASSERT_EQ(shared.arm.size(), arms.size()) << where;
+      ASSERT_EQ(shared.diff.size(), arms.size() - 1) << where;
+      for (std::size_t k = 0; k < arms.size(); ++k)
+        for (std::size_t d = 0; d < online::online_metric_count(); ++d) {
+          const std::string at =
+              where + ", arm " + std::to_string(k) + " metric " +
+              std::to_string(d);
+          expect_bit_identical(shared.arm[k][d], per_arm.arm[k][d], at);
+          if (k > 0)
+            expect_bit_identical(shared.diff[k - 1][d],
+                                 per_arm.diff[k - 1][d], at + " (diff)");
+        }
+    }
+  }
+}
+
+TEST(OnlineCrn, OneLpSolvePerReplicationUnderCrn) {
+  // The CRN arms share one instance, so its LP bound is solved once per
+  // replication; independent streams give every arm its own instance and
+  // therefore its own solve. Every instance here is non-empty (~20 jobs).
+  OnlineScenario s = experiment::online_scenario("online-bernoulli");
+  s.horizon = 8.0;
+  s.bound.use_lp = true;
+  const auto arms = experiment::online_policy_arms();
+  experiment::EngineOptions opt;
+  opt.seed = 5;
+  opt.max_replications = 20;
+  const auto solves_during = [&](experiment::Pairing pairing) {
+    const std::uint64_t before = obs::counter_value("lp_solves");
+    const auto res = experiment::compare_online_policies(s, arms, opt, pairing);
+    EXPECT_EQ(res.replications, opt.max_replications);
+    return obs::counter_value("lp_solves") - before;
+  };
+  EXPECT_EQ(solves_during(experiment::Pairing::kCommonRandomNumbers),
+            opt.max_replications);
+  EXPECT_EQ(solves_during(experiment::Pairing::kIndependentStreams),
+            opt.max_replications * arms.size());
 }
 
 // ---------------------------------------------------------------------------
