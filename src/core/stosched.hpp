@@ -16,7 +16,7 @@
 //     greedy indices, priority-rule catalog;
 //   * observability: metrics registry (counters/gauges/deterministic
 //     latency histograms), compiled-out Chrome-trace spans, run
-//     provenance, structured progress sink, phase timers;
+//     provenance, structured progress sink;
 //   * the experiment engine: replication driver, CRN paired comparisons,
 //     sequential-precision stopping, scenario registry and adapters;
 //   * substrates: distributions, RNG, statistics, discrete-event kernel,
@@ -28,7 +28,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/timestat.hpp"
 
 #include "obs/obs.hpp"
 

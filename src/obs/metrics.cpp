@@ -8,7 +8,7 @@
 namespace stosched::obs {
 namespace {
 
-// Leaked on purpose (the timestat::Registry pattern): instruments must
+// Leaked on purpose (as the obs/trace.cpp registry): instruments must
 // outlive every static destructor that might still bump a counter, and
 // atexit-ordered teardown across TUs is not worth reasoning about for a
 // telemetry registry. std::map keys the instruments by name so every

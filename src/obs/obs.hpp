@@ -2,13 +2,11 @@
 //
 // One include gives a consumer the whole telemetry surface: the metrics
 // registry (counters / gauges / deterministic latency histograms), the
-// compiled-out Chrome-trace macros, run provenance, the structured
-// progress sink — and the phase-timing layer (util/timestat.hpp), which
-// predates src/obs/ but is conceptually part of it and is re-exported here.
+// compiled-out Chrome-trace macros and the library's clock, run
+// provenance, and the structured progress sink.
 #pragma once
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
-#include "util/timestat.hpp"

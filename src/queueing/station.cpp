@@ -3,16 +3,8 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing::detail {
-
-// Hot-path phase accounting for every queueing simulator (zero-cost unless
-// -DSTOSCHED_TIME_STATS): FES pops vs interarrival/service draws vs
-// population bookkeeping.
-STOSCHED_TIME_DECLARE(station_fes);
-STOSCHED_TIME_DECLARE(station_sampling);
-STOSCHED_TIME_DECLARE(station_bookkeeping);
 
 void require_priority(const std::vector<std::vector<std::size_t>>& priority,
                       const std::vector<std::size_t>& station) {
@@ -112,9 +104,7 @@ bool StationKernel::next(Event& e) {
     if (!warm) warm_up();  // no event reached the warmup epoch
     return false;
   }
-  STOSCHED_TIME_START(station_fes);
   e = events.pop();
-  STOSCHED_TIME_STOP(station_fes);
   now = e.time;
   if (!warm && now >= spec.warmup) warm_up();
   return true;
@@ -141,15 +131,11 @@ void StationKernel::add(std::size_t cls, long delta) {
   const std::size_t s = spec.per_class ? cls : 0;
   count[s] += delta;
   STOSCHED_ASSERT(count[s] >= 0, "negative population");
-  STOSCHED_TIME_START(station_bookkeeping);
   count_ta[s].observe(now, static_cast<double>(count[s]));
-  STOSCHED_TIME_STOP(station_bookkeeping);
 }
 
 void StationKernel::admit(std::size_t cls) {
-  STOSCHED_TIME_START(station_sampling);
   const double g = gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
-  STOSCHED_TIME_STOP(station_sampling);
   events.push(now + g, kArrival, static_cast<std::uint32_t>(cls));
   // Batch processes deliver several simultaneous jobs per epoch; the
   // default batch_size() is 1 and consumes no randomness.
@@ -204,9 +190,7 @@ void StationKernel::serve(std::size_t st, std::size_t cls) {
       if (spec.per_class) wait_stat[cls].push(now - s.arrived);
       wait_hist.record(now - s.arrived);
     }
-    STOSCHED_TIME_START(station_sampling);
     service = spec.service[cls].sample(service_rng[cls]);
-    STOSCHED_TIME_STOP(station_sampling);
   }
   s.done = now + service;
   events.push(s.done, kDeparture, static_cast<std::uint32_t>(cls), ++s.gen);

@@ -1,6 +1,6 @@
 // Deliberately-bad fixture for the hot-loop-clock rule: direct clock reads
-// inside the DES hot path (src/des, src/queueing), where timing must only
-// enter through the compiled-out STOSCHED_TIME_* macros.
+// inside the hot paths (src/des, src/queueing, src/lp), where timing must
+// only enter through obs/trace's compiled-out STOSCHED_TRACE_* macros.
 #include <chrono>
 
 #include <ctime>

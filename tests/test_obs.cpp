@@ -265,6 +265,12 @@ TEST(TraceTest, ClearDropsEverything) {
   EXPECT_EQ(os.str(), "[\n]\n");
 }
 
+TEST(TraceTest, NowNsIsMonotonic) {
+  const std::uint64_t a = obs::trace::now_ns();
+  const std::uint64_t b = obs::trace::now_ns();
+  EXPECT_LE(a, b);
+}
+
 TEST(TraceTest, SpanRecordsOnDestruction) {
   obs::trace::clear();
   {

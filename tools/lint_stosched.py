@@ -30,7 +30,7 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         src/lp: the DES event loop and the simplex pivot
                         loop are the multipliers on every experiment, so
                         timing enters them only through the compiled-out
-                        STOSCHED_TIME_* macros (util/timestat).
+                        STOSCHED_TRACE_* macros (obs/trace).
   cmake-coverage        Every src/**/*.cpp is listed in the CMake library
                         sources and every tests/test_*.cpp in STOSCHED_TESTS
                         — an unlisted translation unit silently never builds.
@@ -364,8 +364,8 @@ HOT_LOOP_CLOCK_PATTERNS = [
 
 def rule_hot_loop_clock(root):
     """No direct clock reads in the hot paths (src/des, src/queueing,
-    src/lp). Timing enters only through the util/timestat macros, which
-    compile out unless STOSCHED_TIME_STATS is on — a stray
+    src/lp). Timing enters only through obs/trace's STOSCHED_TRACE_* macros,
+    which compile out unless STOSCHED_TRACE is on — a stray
     steady_clock::now() in an event loop or a simplex pivot loop costs
     ~20ns per call in every build. Benches time LP solves from bench/,
     outside the scanned tree."""
@@ -378,7 +378,7 @@ def rule_hot_loop_clock(root):
                     rel(root, path), line_of(code, m.start()),
                     "hot-loop-clock",
                     f"{what} in a hot path — time only through the "
-                    f"STOSCHED_TIME_* macros (compiled out by default)"))
+                    f"STOSCHED_TRACE_* macros (compiled out by default)"))
     return out
 
 

@@ -163,7 +163,7 @@ class RuleFiresOnFixture(unittest.TestCase):
                                 "src/lp is inside the scanned hot paths")
 
     def test_hot_loop_clock_allows_clocks_outside_hot_path(self):
-        # util/timestat.cpp and bench_common.hpp legitimately read clocks;
+        # obs/trace.cpp and bench_common.hpp legitimately read clocks;
         # the rule only polices src/des, src/queueing and src/lp.
         self.skel.add("hot_loop_clock.cpp", "src/util/timed.cpp")
         self.skel.add("hot_loop_clock.cpp", "bench/bench_timed.cpp")
