@@ -7,12 +7,15 @@
 // Per row: both engines solve the identical instance (objective agreement is
 // a verdict, not an assumption), then a rhs-perturbed resolve is run cold and
 // warm-started from the first solve's optimal basis — the CRN-sweep pattern
-// where consecutive replications share a constraint matrix. Large interval
+// where consecutive replications share a constraint matrix. rev-us/it divides
+// the revised solve time by its pivot count, so the cost per pivot shows
+// apart from any change in the number of pivots. Large interval
 // instances (n >= 192) are revised-only: the dense tableau is quadratic in
 // rows + cols and exists below that scale purely as the auditable reference.
 //
 // Table-driven (not Google Benchmark) so the bench-smoke CI job can build and
 // run it and bench_history.jsonl tracks lp_solves_per_sec across commits.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -87,7 +90,7 @@ struct Shape {
 int main() {
   Table table("micro-LP: dense tableau vs revised simplex (per-solve ms)");
   table.columns({"instance", "rows", "cols", "dense-ms", "rev-ms", "speedup",
-                 "cold-it", "warm-it"});
+                 "cold-it", "warm-it", "rev-us/it"});
 
   Rng rng(2024);
   std::vector<Shape> shapes;
@@ -124,7 +127,7 @@ int main() {
         solve_ms(reps, [&] { revised_sol = lp::solve_revised(p); });
     if (!revised_sol.optimal()) {
       table.add_row({shape.label, std::to_string(rows), std::to_string(cols),
-                     "-", "-", "-", "-", "-"});
+                     "-", "-", "-", "-", "-", "-"});
       objectives_agree = false;
       continue;
     }
@@ -163,14 +166,19 @@ int main() {
                        1e-6 * wscale &&
                    warm.iterations < cold.iterations;
 
+    const double rev_us_per_it =
+        1e3 * rev_ms /
+        static_cast<double>(std::max<std::size_t>(1, revised_sol.iterations));
     table.add_row({shape.label, std::to_string(rows), std::to_string(cols),
                    dense_cell, fmt(rev_ms, 3), speedup_cell,
                    std::to_string(cold.iterations),
-                   std::to_string(warm.iterations)});
+                   std::to_string(warm.iterations), fmt(rev_us_per_it, 2)});
   }
 
   table.note("generators: production HSSW interval-indexed and Whittle "
              "occupation-measure builders (real sparsity patterns)");
+  table.note("rev-us/it: the revised solve's microseconds per iteration "
+             "(rev-ms over its iteration count), the per-pivot cost");
   table.note("warm-it: iterations to re-optimality after a per-row rhs "
              "drift, warm-started from the undrifted optimal basis (cold-it: "
              "same resolve from the all-slack basis)");

@@ -130,12 +130,13 @@ Event CalendarEventQueue::pop() {
   // asserted on the calendar side of the shootout so order-equivalence is
   // checked structurally in every contract build, not only by the property
   // test in tests/test_des.cpp.
-  STOSCHED_INVARIANT(
-      !has_last_pop_ || out.time > last_pop_time_ ||
-          (out.time == last_pop_time_ && out.seq > last_pop_seq_),
-      "calendar queue popped out of (time, seq) order");
-  STOSCHED_CONTRACT_CODE(has_last_pop_ = true; last_pop_time_ = out.time;
-                         last_pop_seq_ = out.seq;);
+  STOSCHED_CONTRACT_CODE(
+      STOSCHED_INVARIANT(
+          !has_last_pop_ || out.time > last_pop_time_ ||
+              (out.time == last_pop_time_ && out.seq > last_pop_seq_),
+          "calendar queue popped out of (time, seq) order");
+      has_last_pop_ = true; last_pop_time_ = out.time;
+      last_pop_seq_ = out.seq;);
   buckets_[min_bucket_].pop_back();
   --size_;
   ++popped_;

@@ -103,12 +103,13 @@ class DaryEventHeap {
     Event out = heap_.front();
     // Pop monotonicity: the FES contract every simulator's clock rests on —
     // (time, seq) keys leave in nondecreasing order between clear()s.
-    STOSCHED_INVARIANT(
-        !has_last_pop_ || out.time > last_pop_time_ ||
-            (out.time == last_pop_time_ && out.seq > last_pop_seq_),
-        "event heap popped out of (time, seq) order");
-    STOSCHED_CONTRACT_CODE(has_last_pop_ = true; last_pop_time_ = out.time;
-                           last_pop_seq_ = out.seq;);
+    STOSCHED_CONTRACT_CODE(
+        STOSCHED_INVARIANT(
+            !has_last_pop_ || out.time > last_pop_time_ ||
+                (out.time == last_pop_time_ && out.seq > last_pop_seq_),
+            "event heap popped out of (time, seq) order");
+        has_last_pop_ = true; last_pop_time_ = out.time;
+        last_pop_seq_ = out.seq;);
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0);

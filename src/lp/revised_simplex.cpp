@@ -30,22 +30,27 @@ struct Engine {
   std::size_t total = 0;  ///< n + m columns
   double dir = 1.0;       ///< +1 minimize, -1 maximize
   SparseColumns cols;     ///< all columns, slacks included
+  SparseRows rows;        ///< the same [A | I], row-wise, for pricing
   std::vector<double> lower, upper;
   std::vector<double> chat;  ///< internal min costs (slacks 0)
   std::vector<double> b;
 
   // Basis state.
   std::vector<VarStatus> status;     ///< per column
+  /// Per column: 0 if basic or fixed, +1 at lower, −1 at upper — the σ of
+  /// pricing, kept in step with `status` by set_status().
+  std::vector<double> price_sign;
   std::vector<std::uint32_t> basic;  ///< per row
   std::vector<double> xb;            ///< value of basic[r], per row
   EtaFile file;
   std::size_t pivots_since_refactor = 0;
   static constexpr std::size_t kRefactorInterval = 64;
 
-  // Scratch, sized m.
-  std::vector<double> w;       ///< FTRAN of the entering column
-  std::vector<double> y;       ///< BTRAN duals of the current phase cost
-  std::vector<std::int8_t> d;  ///< -1 below lower / +1 above upper / 0 ok
+  // Scratch, sized once per solve.
+  SparseVector w;              ///< FTRAN of the entering column (m)
+  std::vector<double> y;       ///< BTRAN duals of the current phase cost (m)
+  std::vector<std::int8_t> d;  ///< -1 below lower / +1 above upper / 0 ok (m)
+  std::vector<double> aty;     ///< Aᵀy of the last pricing pass (total)
 
   // Ghost state for the phase-2 monotonicity contract.
   STOSCHED_CONTRACT_STATE(double ghost_obj = 0.0; bool ghost_phase2 = false;)
@@ -63,13 +68,14 @@ struct Engine {
     for (std::size_t j = 0; j < n; ++j) chat[j] = dir * p.costs[j];
     b.resize(m);
 
-    // CSC assembly, two passes over the sparse rows; slack column n+i is
-    // the single entry (i, 1). Duplicate row indices stay as separate
-    // entries — every consumer (scatter/dot) is additive.
+    // CSC and CSR assembly, two passes over the sparse rows; slack column
+    // n+i is the single entry (i, 1). Duplicate row indices stay as separate
+    // entries — every consumer (scatter/accumulate) is additive. The CSR
+    // copy keeps each row's entries in constraint order, so a column's
+    // entries appear in the same (row, then position) order in both layouts.
     std::vector<std::size_t> count(total, 0);
     for (std::size_t i = 0; i < m; ++i) {
-      const Constraint& row = p.constraints[i];
-      for (const std::size_t j : row.idx) {
+      for (const std::size_t j : p.constraints[i].idx) {
         STOSCHED_REQUIRE(j < n, "constraint column index out of range");
         ++count[j];
       }
@@ -79,19 +85,29 @@ struct Engine {
     cols.start.assign(total + 1, 0);
     for (std::size_t j = 0; j < total; ++j)
       cols.start[j + 1] = cols.start[j] + count[j];
-    cols.row.resize(cols.start[total]);
-    cols.value.resize(cols.start[total]);
+    const std::size_t nnz = cols.start[total];
+    cols.row.resize(nnz);
+    cols.value.resize(nnz);
+    rows.start.assign(m + 1, 0);
+    rows.col.resize(nnz);
+    rows.value.resize(nnz);
     std::vector<std::size_t> fill(cols.start.begin(), cols.start.end() - 1);
+    std::size_t next = 0;  // CSR write position
     for (std::size_t i = 0; i < m; ++i) {
       const Constraint& row = p.constraints[i];
       for (std::size_t k = 0; k < row.idx.size(); ++k) {
         const std::size_t at = fill[row.idx[k]]++;
         cols.row[at] = static_cast<std::uint32_t>(i);
         cols.value[at] = row.val[k];
+        rows.col[next] = static_cast<std::uint32_t>(row.idx[k]);
+        rows.value[next++] = row.val[k];
       }
       const std::size_t at = fill[n + i]++;
       cols.row[at] = static_cast<std::uint32_t>(i);
       cols.value[at] = 1.0;
+      rows.col[next] = static_cast<std::uint32_t>(n + i);
+      rows.value[next++] = 1.0;
+      rows.start[i + 1] = next;
 
       b[i] = row.rhs;
       switch (row.sense) {
@@ -106,21 +122,27 @@ struct Engine {
           break;
       }
     }
-    w.assign(m, 0.0);
+    w.resize(m);
     y.assign(m, 0.0);
     d.assign(m, 0);
+    aty.assign(total, 0.0);
+    price_sign.assign(total, 0.0);
   }
 
-  void add_column(std::size_t j, double scale, std::vector<double>& v) const {
+  void add_column(std::size_t j, double scale, SparseVector& v) const {
     for (std::size_t k = cols.start[j]; k < cols.start[j + 1]; ++k)
-      v[cols.row[k]] += scale * cols.value[k];
+      v.add(cols.row[k], scale * cols.value[k]);
   }
 
-  double dot_column(std::size_t j, const std::vector<double>& v) const {
-    double s = 0.0;
-    for (std::size_t k = cols.start[j]; k < cols.start[j + 1]; ++k)
-      s += v[cols.row[k]] * cols.value[k];
-    return s;
+  void set_status(std::size_t j, VarStatus s) {
+    status[j] = s;
+    price_sign[j] = s == VarStatus::kBasic || lower[j] == upper[j] ? 0.0
+                    : s == VarStatus::kAtLower                     ? 1.0
+                                                                   : -1.0;
+  }
+
+  void set_all_price_signs() {
+    for (std::size_t j = 0; j < total; ++j) set_status(j, status[j]);
   }
 
   /// Value a nonbasic variable rests at (always one of its finite bounds).
@@ -139,6 +161,7 @@ struct Engine {
       basic[i] = static_cast<std::uint32_t>(n + i);
       status[n + i] = VarStatus::kBasic;
     }
+    set_all_price_signs();
     file.clear();
     pivots_since_refactor = 0;
   }
@@ -155,6 +178,7 @@ struct Engine {
     }
     status = warm.status;
     basic = warm.basic;
+    set_all_price_signs();
     return refactorize();
   }
 
@@ -162,6 +186,8 @@ struct Engine {
   /// partial pivoting over the not-yet-pivoted rows. Reorders `basic` so
   /// that basic[r] is the variable pivoted in row r (the product form then
   /// inverts that column order exactly). Returns false on a singular basis.
+  /// Each column is scattered, FTRAN'd and searched over its pattern only,
+  /// so a slack costs O(1) beyond the FTRAN's pass over the eta pivots.
   bool refactorize() {
     std::vector<std::uint32_t> order(basic);
     std::sort(order.begin(), order.end(),
@@ -173,23 +199,23 @@ struct Engine {
     file.clear();
     std::vector<char> assigned(m, 0);
     std::vector<std::uint32_t> new_basic(m, 0);
-    std::vector<double> v(m);
     for (const std::uint32_t var : order) {
-      std::fill(v.begin(), v.end(), 0.0);
-      add_column(var, 1.0, v);
-      file.ftran(v);
+      w.clear();
+      add_column(var, 1.0, w);
+      file.ftran(w);
+      w.sort_pattern();
       std::size_t r = m;
       double best = tol::kPivot;
-      for (std::size_t i = 0; i < m; ++i) {
+      for (const std::uint32_t i : w.index) {
         if (assigned[i]) continue;
-        const double mag = std::abs(v[i]);
+        const double mag = std::abs(w.value[i]);
         if (mag > best) {
           best = mag;
           r = i;
         }
       }
       if (r == m) return false;  // singular (or numerically so)
-      file.append(v, static_cast<std::uint32_t>(r), tol::kEtaDrop);
+      file.append(w, static_cast<std::uint32_t>(r), tol::kEtaDrop);
       assigned[r] = 1;
       new_basic[r] = var;
     }
@@ -205,14 +231,15 @@ struct Engine {
   bool refactor_residual_ok() const {
     for (const std::size_t probe : {std::size_t{0}, m / 2}) {
       if (probe >= m) continue;
-      std::vector<double> e(m, 0.0);
-      e[probe] = 1.0;
+      SparseVector e, res;
+      e.resize(m);
+      res.resize(m);
+      e.add(static_cast<std::uint32_t>(probe), 1.0);
       file.ftran(e);
-      std::vector<double> res(m, 0.0);
-      for (std::size_t r = 0; r < m; ++r)
-        if (e[r] != 0.0) add_column(basic[r], e[r], res);
-      res[probe] -= 1.0;
-      for (const double v : res)
+      for (const std::uint32_t r : e.index)
+        if (e.value[r] != 0.0) add_column(basic[r], e.value[r], res);
+      res.add(static_cast<std::uint32_t>(probe), -1.0);
+      for (const double v : res.value)
         if (std::abs(v) > tol::kRefactorResidual) return false;
     }
     return true;
@@ -229,15 +256,17 @@ struct Engine {
     return true;
   }
 
-  /// Recompute the basic values from scratch: x_B = B⁻¹(b − N·x_N).
+  /// Recompute the basic values from scratch: x_B = B⁻¹(b − N·x_N), built
+  /// densely in the scratch vector `w` (free between iterations).
   void compute_xb() {
-    xb = b;
+    w.assign_dense(b);
     for (std::size_t j = 0; j < total; ++j) {
       if (status[j] == VarStatus::kBasic) continue;
       const double v = nonbasic_value(j);
-      if (v != 0.0) add_column(j, -v, xb);
+      if (v != 0.0) add_column(j, -v, w);
     }
-    file.ftran(xb);
+    file.ftran(w);
+    xb = w.value;
   }
 
   /// Internal (minimization-form) objective of the current iterate.
@@ -306,19 +335,30 @@ struct Engine {
         y[r] = phase1 ? static_cast<double>(d[r]) : chat[basic[r]];
       file.btran(y);
 
+      // Aᵀy, row-wise over the nonzero duals only. Rows go in ascending
+      // order, so each column sums its terms in the order of its CSC
+      // entries; a skipped row would only add a ±0 term, which cannot
+      // change a sum that starts at +0.
+      std::fill(aty.begin(), aty.end(), 0.0);
+      for (std::size_t i = 0; i < m; ++i) {
+        const double yi = y[i];
+        if (yi == 0.0) continue;
+        for (std::size_t k = rows.start[i]; k < rows.start[i + 1]; ++k)
+          aty[rows.col[k]] += yi * rows.value[k];
+      }
+
       // Pricing: Dantzig over all nonbasic columns (Bland once a degenerate
       // streak suggests cycling). slope = σ_j·ẑ_j is the objective's rate of
       // change when j moves off its bound (σ = +1 from lower, −1 from
-      // upper); improving means slope < −kPivot. Fixed columns (kEq slacks)
-      // never enter.
+      // upper); improving means slope < −kPivot. Basic and fixed columns
+      // (kEq slacks) carry σ = 0, so their slope of ±0 never qualifies and
+      // the scan needs no status or bound tests.
       std::size_t enter = total;
       double esign = 1.0;
       double best = -tol::kPivot;
       for (std::size_t j = 0; j < total; ++j) {
-        if (status[j] == VarStatus::kBasic) continue;
-        if (lower[j] == upper[j]) continue;
-        const double z = (phase1 ? 0.0 : chat[j]) - dot_column(j, y);
-        const double sigma = status[j] == VarStatus::kAtLower ? 1.0 : -1.0;
+        const double z = (phase1 ? 0.0 : chat[j]) - aty[j];
+        const double sigma = price_sign[j];
         const double slope = sigma * z;
         if (bland) {
           if (slope < -tol::kPivot) {
@@ -345,16 +385,19 @@ struct Engine {
       // basics block where they reach a bound (infeasible basics at the
       // bound they violate — the first breakpoint of the piecewise-linear
       // phase-1 objective); the entering variable itself blocks at its
-      // opposite bound (a bound flip, no pivot).
-      std::fill(w.begin(), w.end(), 0.0);
+      // opposite bound (a bound flip, no pivot). Rows outside w's pattern
+      // have w[r] = 0 and never block, so every loop below walks the
+      // ascending pattern only.
+      w.clear();
       add_column(enter, 1.0, w);
       file.ftran(w);
+      w.sort_pattern();
 
       double alpha = upper[enter] - lower[enter];  // flip step, often ∞
       std::size_t leave = m;                       // m = bound flip
       bool leave_at_upper = false;
-      for (std::size_t r = 0; r < m; ++r) {
-        const double delta = esign * w[r];  // −d(x_B[r])/d(step)
+      for (const std::uint32_t r : w.index) {
+        const double delta = esign * w.value[r];  // −d(x_B[r])/d(step)
         if (delta < tol::kPivot && delta > -tol::kPivot) continue;
         const std::uint32_t bv = basic[r];
         double a;
@@ -410,23 +453,26 @@ struct Engine {
           alpha < tol::kDegenerateStep ? degenerate_run + 1 : 0;
       if (degenerate_run > 2 * m + 20) bland = true;
 
+      // A row outside the pattern would only subtract ±0, which changes no
+      // value (at most the sign of a −0.0 that only a −0.0 rhs can seed).
       if (alpha != 0.0)
-        for (std::size_t r = 0; r < m; ++r) xb[r] -= esign * alpha * w[r];
+        for (const std::uint32_t r : w.index)
+          xb[r] -= esign * alpha * w.value[r];
 
       if (leave == m) {
         // Bound flip: the entering variable traversed to its other bound.
-        status[enter] = status[enter] == VarStatus::kAtLower
-                            ? VarStatus::kAtUpper
-                            : VarStatus::kAtLower;
+        set_status(enter, status[enter] == VarStatus::kAtLower
+                              ? VarStatus::kAtUpper
+                              : VarStatus::kAtLower);
         continue;
       }
 
       const std::uint32_t out = basic[leave];
       const double in_value = (esign > 0.0 ? lower[enter] : upper[enter]) +
                               esign * alpha;
-      status[out] =
-          leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-      status[enter] = VarStatus::kBasic;
+      set_status(out,
+                 leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower);
+      set_status(enter, VarStatus::kBasic);
       basic[leave] = static_cast<std::uint32_t>(enter);
       xb[leave] = in_value;
       file.append(w, static_cast<std::uint32_t>(leave), tol::kEtaDrop);
@@ -437,7 +483,8 @@ struct Engine {
   }
 
   /// Fill the caller-facing Solution from an optimal iterate. `y` must hold
-  /// the phase-2 duals (B⁻ᵀĉ_B), which run() guarantees at kOptimal exit.
+  /// the phase-2 duals (B⁻ᵀĉ_B) and `aty` their Aᵀy, which run() guarantees
+  /// at kOptimal exit.
   void extract(const Problem& p, Solution& sol) const {
     sol.x.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j)
@@ -453,7 +500,7 @@ struct Engine {
     sol.reduced_costs.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j) {
       if (status[j] == VarStatus::kBasic) continue;  // 0, as dense reports
-      sol.reduced_costs[j] = dir * (chat[j] - dot_column(j, y));
+      sol.reduced_costs[j] = dir * (chat[j] - aty[j]);
     }
   }
 

@@ -3,10 +3,20 @@
 //
 // Where the dense tableau (simplex.hpp) updates an (m+1)×(n+1) matrix per
 // pivot, the revised method keeps only the basis inverse — as an eta file
-// (lp/sparse.hpp) — and works column-wise over the CSC constraint matrix:
-//   * pricing: one BTRAN (y = B⁻ᵀ·cost_B) plus a sparse dot per nonbasic
-//     column, O(nnz(A)) instead of O(m·n);
-//   * ratio test / update: one FTRAN of the entering column and one new eta.
+// (lp/sparse.hpp) — and lets each step's cost scale with nonzeros:
+//   * pricing: one BTRAN (y = B⁻ᵀ·cost_B), then Aᵀy accumulated row-wise
+//     over a CSR copy of A, visiting only the rows whose dual is nonzero,
+//     and one pass over a per-column pricing sign (0 basic or fixed, ±1 at
+//     lower/upper) that needs no status or bound tests;
+//   * ratio test / update: one FTRAN of the entering column that tracks its
+//     nonzero pattern; the ratio test, the x_B update and the new eta walk
+//     that pattern instead of all m rows;
+//   * refactorization: each basis column is scattered, FTRAN'd and
+//     pivot-searched over its pattern, so a slack column costs O(1).
+// Every floating-point operation happens in the order of a dense sweep
+// (patterns are sorted ascending; Aᵀy adds each column's terms in row
+// order), so the pivot sequence and every output bit are those of the
+// dense loops — tests/test_lp_revised.cpp pins iteration counts.
 // Bounded variables are native: every variable carries [lower, upper], so
 // kGe/kEq rows need slack bounds ((-∞,0] / [0,0]) instead of artificial
 // columns, and phase 1 minimizes the total bound violation of the basic

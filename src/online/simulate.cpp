@@ -89,10 +89,11 @@ OnlineResult simulate_online(const OnlineInstance& inst,
         next_arrival < inst.size() ? inst[next_arrival].release : kInf;
     if (done_machine == m && arrival_time == kInf) break;
 
-    STOSCHED_INVARIANT(std::min(done_time, arrival_time) >= contract_last_event,
-                       "online event clock ran backwards");
-    STOSCHED_CONTRACT_CODE(contract_last_event =
-                               std::min(done_time, arrival_time););
+    STOSCHED_CONTRACT_CODE(
+        STOSCHED_INVARIANT(
+            std::min(done_time, arrival_time) >= contract_last_event,
+            "online event clock ran backwards");
+        contract_last_event = std::min(done_time, arrival_time););
 
     if (done_time <= arrival_time) {
       completion[serving[done_machine]] = done_time;

@@ -15,9 +15,9 @@
 //   * The STOSCHED_EXPECTS/ENSURES/INVARIANT family is for checks that are
 //     too hot or too internal to pay for in Release: per-event loop
 //     invariants, ring-buffer index algebra, pop monotonicity of the
-//     future-event sets. They compile to nothing — the condition is NOT
-//     evaluated — unless STOSCHED_CONTRACTS is defined, which the build
-//     system turns on for Debug builds and every STOSCHED_SANITIZE build
+//     future-event sets. They emit no code — the condition is type-checked
+//     but NOT evaluated — unless STOSCHED_CONTRACTS is defined, which the
+//     build system turns on for Debug builds and every STOSCHED_SANITIZE build
 //     (so ASan/UBSan/TSan CI legs run with contracts armed, where a
 //     violation's abort() produces a symbolized sanitizer-grade report).
 //     Release binaries carry zero overhead; the events/sec counters in
@@ -31,9 +31,11 @@
 // Release builds (e.g. the last-popped key of an event queue). Declare it
 // with STOSCHED_CONTRACT_STATE(declaration;) and mutate it inside
 // STOSCHED_CONTRACT_CODE(...) — both expand to nothing when contracts are
-// off. All TUs of one build share one STOSCHED_CONTRACTS setting (it is a
-// global compile definition), so contract-only members never cause layout
-// mismatches across translation units.
+// off, so a contract whose condition reads ghost state goes inside
+// STOSCHED_CONTRACT_CODE too. All TUs of one build share one
+// STOSCHED_CONTRACTS setting (it is a global compile definition), so
+// contract-only members never cause layout mismatches across translation
+// units.
 #pragma once
 
 namespace stosched::detail {
@@ -76,12 +78,15 @@ namespace stosched::detail {
     __VA_ARGS__                     \
   } while (0)
 
-#else  // !STOSCHED_CONTRACTS — every macro is token-free in Release.
+#else  // !STOSCHED_CONTRACTS — no Release code, but conditions still compile.
 
 #define STOSCHED_CONTRACTS_ACTIVE 0
-#define STOSCHED_EXPECTS(cond, msg) ((void)0)
-#define STOSCHED_ENSURES(cond, msg) ((void)0)
-#define STOSCHED_INVARIANT(cond, msg) ((void)0)
+// sizeof's operand is unevaluated: the condition is type-checked (and the
+// names it reads count as used) but never runs. A condition that reads
+// ghost state must therefore sit inside STOSCHED_CONTRACT_CODE.
+#define STOSCHED_EXPECTS(cond, msg) ((void)sizeof(!!(cond)))
+#define STOSCHED_ENSURES(cond, msg) ((void)sizeof(!!(cond)))
+#define STOSCHED_INVARIANT(cond, msg) ((void)sizeof(!!(cond)))
 #define STOSCHED_CONTRACT_STATE(...)
 #define STOSCHED_CONTRACT_CODE(...) ((void)0)
 

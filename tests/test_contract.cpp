@@ -31,8 +31,7 @@ TEST(ContractMacrosTest, ConditionEvaluatedExactlyWhenArmed) {
   // "compiled out": armed builds must evaluate each condition once, Release
   // builds exactly zero times.
   int evaluations = 0;
-  // Disarmed contracts expand to ((void)0), so `pass` is never referenced.
-  [[maybe_unused]] auto pass = [&evaluations]() {
+  auto pass = [&evaluations]() {
     ++evaluations;
     return true;
   };

@@ -7,11 +7,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
+#include "experiment/scenario.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "online/lower_bound.hpp"
+#include "online/model.hpp"
+#include "restless/relaxation.hpp"
+#include "restless/restless_project.hpp"
 #include "util/rng.hpp"
 
 namespace stosched::lp {
@@ -329,6 +335,65 @@ TEST(RevisedSimplex, CountsProcessLpEffort) {
   const auto after = process_lp_counters();
   EXPECT_EQ(after.solves, before.solves + 2);
   EXPECT_GE(after.iterations, before.iterations + 1);
+}
+
+/// Iteration counts and objectives of production-shaped LPs, recorded from
+/// the dense-loop engine. The sparse loops (pattern-tracked FTRAN, row-wise
+/// pricing) keep every floating-point operation in the same order, so they
+/// must take exactly the same pivots: any drift in `iterations` means a loop
+/// changed the pivot sequence, not merely its cost.
+struct PinnedSolve {
+  std::uint64_t seed;
+  std::size_t iterations;
+  double objective;
+};
+
+void expect_pinned(const Problem& p, const PinnedSolve& pin) {
+  const Solution s = solve_revised(p);
+  ASSERT_TRUE(s.optimal()) << "seed " << pin.seed;
+  EXPECT_EQ(s.iterations, pin.iterations) << "seed " << pin.seed;
+  EXPECT_NEAR(s.objective, pin.objective,
+              1e-12 * std::abs(pin.objective))
+      << "seed " << pin.seed;
+}
+
+TEST(RevisedSimplex, PivotSequencePinned) {
+  // Interval-indexed bound LPs of online-bernoulli instances at the
+  // benchmark's horizon (~130 jobs, ~430 rows x ~2000 columns).
+  experiment::OnlineScenario s =
+      experiment::online_scenario("online-bernoulli");
+  s.horizon = 48.0;
+  const PinnedSolve online_pins[] = {
+      {1, 631, 5162.5527388261653}, {2, 692, 5363.8104076118843},
+      {3, 687, 4785.4603088264867}, {4, 351, 4286.6484531889009},
+      {5, 471, 5421.2665199622561}, {6, 425, 4942.3495156988911},
+  };
+  for (const PinnedSolve& pin : online_pins) {
+    const Rng root(pin.seed);
+    Rng arrival_rng = root.stream(0);
+    Rng type_rng = root.stream(1);
+    Rng size_rng = root.stream(2);
+    Rng sample_rng = root.stream(3);
+    const online::OnlineInstance inst = online::generate_online_instance(
+        *s.arrival, s.types, s.horizon, arrival_rng, type_rng, size_rng,
+        sample_rng);
+    expect_pinned(online::interval_indexed_lp(inst, s.env, s.bound), pin);
+  }
+
+  // Whittle occupation-measure relaxations: J random projects of 8 states.
+  const struct {
+    std::size_t projects;
+    PinnedSolve pin;
+  } whittle_pins[] = {{8, {11, 111, 2.5951705324210237}},
+                     {16, {12, 225, 5.4913841575911047}}};
+  for (const auto& [projects, pin] : whittle_pins) {
+    Rng rng(pin.seed);
+    restless::RestlessInstance inst;
+    for (std::size_t j = 0; j < projects; ++j)
+      inst.projects.push_back(restless::random_restless_project(8, rng));
+    inst.activate = projects / 4;
+    expect_pinned(restless::relaxation_lp(inst), pin);
+  }
 }
 
 }  // namespace
