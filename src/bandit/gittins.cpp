@@ -27,8 +27,8 @@ std::vector<double> continuation_inverse(const MarkovProject& p, double beta,
     std::size_t piv = col;
     for (std::size_t r = col + 1; r < k; ++r)
       if (std::abs(m[r * k + col]) > std::abs(m[piv * k + col])) piv = r;
-    STOSCHED_ASSERT(std::abs(m[piv * k + col]) > 1e-12,
-                    "continuation system singular");
+    STOSCHED_REQUIRE(std::abs(m[piv * k + col]) > 1e-12,
+                     "continuation system singular");
     if (piv != col)
       for (std::size_t c = 0; c < k; ++c) {
         std::swap(m[piv * k + c], m[col * k + c]);
@@ -109,7 +109,7 @@ std::vector<double> gittins_largest_index(const MarkovProject& p,
       }
       const double self = beta * p.trans[i][i];
       const double denom_scale = 1.0 - self - pic_inv_pci;
-      STOSCHED_ASSERT(denom_scale > 1e-14, "degenerate continuation block");
+      STOSCHED_REQUIRE(denom_scale > 1e-14, "degenerate continuation block");
       const double a_i = (p.reward[i] + pic_w) / denom_scale;
       const double b_i = (1.0 + pic_u) / denom_scale;
       const double ratio = a_i / b_i;
@@ -118,7 +118,7 @@ std::vector<double> gittins_largest_index(const MarkovProject& p,
         best_state = i;
       }
     }
-    STOSCHED_ASSERT(best_state < n, "no candidate found");
+    STOSCHED_REQUIRE(best_state < n, "no candidate found");
     gamma[best_state] = best;
     indexed[best_state] = 1;
     cont.push_back(best_state);

@@ -50,7 +50,7 @@ Batch random_batch(std::size_t n, Rng& rng, const BatchGenOptions& opts) {
         d = uniform_dist(0.2 * mean, 1.8 * mean);
         break;
       case JobFamily::kMixed:
-        STOSCHED_ASSERT(false, "mixed family resolved above");
+        STOSCHED_REQUIRE(false, "mixed family resolved above");
     }
     const double w =
         opts.unit_weights ? 1.0 : rng.uniform(opts.weight_lo, opts.weight_hi);

@@ -60,7 +60,7 @@ double simulate_tree_makespan(const InTree& tree, unsigned machines,
     if (pending[i] == 0) eligible.push_back(i);
 
   auto pick = [&]() -> std::size_t {
-    STOSCHED_ASSERT(!eligible.empty(), "no eligible job to pick");
+    STOSCHED_REQUIRE(!eligible.empty(), "no eligible job to pick");
     std::size_t best_pos = 0;
     if (policy == TreePolicy::kHighestLevelFirst) {
       for (std::size_t p = 1; p < eligible.size(); ++p)
@@ -95,7 +95,7 @@ double simulate_tree_makespan(const InTree& tree, unsigned machines,
       Rng service_rng = root.stream(job);
       running.emplace_back(clock + service_rng.exponential(rate), job);
     }
-    STOSCHED_ASSERT(!running.empty(), "deadlock: nothing running or eligible");
+    STOSCHED_REQUIRE(!running.empty(), "deadlock: nothing running or eligible");
     std::size_t next = 0;
     for (std::size_t r = 1; r < running.size(); ++r)
       if (running[r].first < running[next].first) next = r;
@@ -106,7 +106,7 @@ double simulate_tree_makespan(const InTree& tree, unsigned machines,
     ++completed;
     if (done != tree.root) {
       const std::size_t par = tree.parent[done];
-      STOSCHED_ASSERT(pending[par] > 0, "parent dependency underflow");
+      STOSCHED_REQUIRE(pending[par] > 0, "parent dependency underflow");
       if (--pending[par] == 0) eligible.push_back(par);
     }
   }

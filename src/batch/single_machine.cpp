@@ -83,7 +83,7 @@ double sevcik_index(const DiscreteJob& job, std::size_t level) {
   // Survival mass beyond v_level (level 0 == no service yet).
   double surv = 0.0;
   for (std::size_t k = level; k < K; ++k) surv += job.probs[k];
-  STOSCHED_ASSERT(surv > 0.0, "indexing a surely-completed job");
+  STOSCHED_REQUIRE(surv > 0.0, "indexing a surely-completed job");
   const double attained = level == 0 ? 0.0 : job.values[level - 1];
 
   double best = 0.0;
@@ -203,8 +203,8 @@ double level_dp(const std::vector<DiscreteJob>& jobs, bool optimal,
         lv[i] = l + 1;  // survived to next level (encodes K when l+1==K)
         const double v_next = l + 1 < K ? value[space.encode(lv)] : v_done;
         lv[i] = l;
-        STOSCHED_ASSERT(!std::isnan(v_done) && !std::isnan(v_next),
-                        "DAG order violated in level DP");
+        STOSCHED_REQUIRE(!std::isnan(v_done) && !std::isnan(v_next),
+                         "DAG order violated in level DP");
         return d * alive_weight + h * v_done + (1.0 - h) * v_next;
       };
 
@@ -215,8 +215,8 @@ double level_dp(const std::vector<DiscreteJob>& jobs, bool optimal,
         value[code] = best;
       } else {
         const std::size_t i = pick(lv);
-        STOSCHED_ASSERT(i < jobs.size() && lv[i] < jobs[i].values.size(),
-                        "policy picked a completed job");
+        STOSCHED_REQUIRE(i < jobs.size() && lv[i] < jobs[i].values.size(),
+                         "policy picked a completed job");
         value[code] = segment_value(i);
       }
     }

@@ -20,7 +20,7 @@ void for_each_k_subset(std::uint32_t mask, unsigned k, Fn&& fn) {
   for (unsigned b = 0; b < 32; ++b)
     if (mask & (1u << b)) bits.push_back(b);
   const unsigned n = static_cast<unsigned>(bits.size());
-  STOSCHED_ASSERT(k <= n, "k-subset larger than set");
+  STOSCHED_REQUIRE(k <= n, "k-subset larger than set");
   std::vector<unsigned> idx(k);
   std::iota(idx.begin(), idx.end(), 0u);
   for (;;) {

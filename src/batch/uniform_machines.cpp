@@ -59,7 +59,7 @@ struct Engine {
 
   double race(std::uint32_t avail, std::size_t j1, std::size_t j2) {
     if (j1 == kNone && j2 == kNone) {
-      STOSCHED_ASSERT(avail == 0, "race with nothing running but jobs left");
+      STOSCHED_REQUIRE(avail == 0, "race with nothing running but jobs left");
       return 0.0;
     }
     const auto it = memo_r.find(key(avail, j1, j2));

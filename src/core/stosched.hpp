@@ -34,7 +34,6 @@
 #include "dist/arrival.hpp"
 #include "dist/distribution.hpp"
 
-#include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
 

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/check.hpp"
 #include "util/contract.hpp"
 
 namespace stosched {
@@ -93,12 +92,12 @@ class DaryEventHeap {
 
   /// The earliest event (smallest time, then smallest seq).
   [[nodiscard]] const Event& top() const {
-    STOSCHED_ASSERT(!heap_.empty(), "top() on empty event heap");
+    STOSCHED_INVARIANT(!heap_.empty(), "top() on empty event heap");
     return heap_.front();
   }
 
   Event pop() {
-    STOSCHED_ASSERT(!heap_.empty(), "pop() on empty event heap");
+    STOSCHED_INVARIANT(!heap_.empty(), "pop() on empty event heap");
     ++popped_;
     Event out = heap_.front();
     // Pop monotonicity: the FES contract every simulator's clock rests on —
@@ -167,12 +166,9 @@ class DaryEventHeap {
 
 /// The default future-event set used by all simulators in the library.
 ///
-/// Shootout outcome (bench_micro_des, hold model + ramp/drain, sizes 64 to
+/// Arity shootout (bench_micro_des, hold model + ramp/drain, sizes 64 to
 /// 10^6): the 4-ary heap wins at the small resident sizes the library's
-/// simulators actually run (~2 events per class), and on ramp/drain; the
-/// calendar queue (calendar_queue.hpp) overtakes it from ~16k resident
-/// events and is ~1.7x faster at 10^6, so big-FES models should swap it in
-/// — the two are order-equivalent by contract (same (time, seq) ordering).
+/// simulators actually run (~2 events per class, ~85 for the network).
 using EventQueue = DaryEventHeap<4>;
 
 }  // namespace stosched

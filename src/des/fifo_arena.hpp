@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "util/check.hpp"
 #include "util/contract.hpp"
 
 namespace stosched {
@@ -64,12 +63,12 @@ class FifoArena {
   }
 
   [[nodiscard]] const T& front() const {
-    STOSCHED_ASSERT(size_ > 0, "front() on empty FifoArena");
+    STOSCHED_INVARIANT(size_ > 0, "front() on empty FifoArena");
     return buf_[head_];
   }
 
   void pop_front() {
-    STOSCHED_ASSERT(size_ > 0, "pop_front() on empty FifoArena");
+    STOSCHED_INVARIANT(size_ > 0, "pop_front() on empty FifoArena");
     ring_invariant();
     head_ = (head_ + 1) & mask_;
     --size_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 #include "util/check.hpp"
 
@@ -444,121 +445,71 @@ Registry<OnlineScenario> build_online_registry() {
   return reg;
 }
 
-const Registry<QueueScenario>& queue_registry() {
-  static const Registry<QueueScenario> reg = build_queue_registry();
-  return reg;
-}
+/// Every family's builder; std::get by the builder's return type picks
+/// the one for scenario type S at compile time.
+constexpr std::tuple kBuilders{
+    &build_queue_registry,   &build_polling_registry, &build_restless_registry,
+    &build_batch_registry,   &build_network_registry, &build_mmm_registry,
+    &build_fluid_registry,   &build_tree_registry,    &build_online_registry};
 
-const Registry<PollingScenario>& polling_registry() {
-  static const Registry<PollingScenario> reg = build_polling_registry();
-  return reg;
-}
-
-const Registry<RestlessScenario>& restless_registry() {
-  static const Registry<RestlessScenario> reg = build_restless_registry();
-  return reg;
-}
-
-const Registry<BatchScenario>& batch_registry() {
-  static const Registry<BatchScenario> reg = build_batch_registry();
-  return reg;
-}
-
-const Registry<NetworkScenario>& network_registry() {
-  static const Registry<NetworkScenario> reg = build_network_registry();
-  return reg;
-}
-
-const Registry<MmmScenario>& mmm_registry() {
-  static const Registry<MmmScenario> reg = build_mmm_registry();
-  return reg;
-}
-
-const Registry<FluidScenario>& fluid_registry() {
-  static const Registry<FluidScenario> reg = build_fluid_registry();
-  return reg;
-}
-
-const Registry<TreeScenario>& tree_registry() {
-  static const Registry<TreeScenario> reg = build_tree_registry();
-  return reg;
-}
-
-const Registry<OnlineScenario>& online_registry() {
-  static const Registry<OnlineScenario> reg = build_online_registry();
+/// The registry of scenario family S, built once on first use.
+template <class S>
+const Registry<S>& registry() {
+  static const Registry<S> reg = std::get<Registry<S> (*)()>(kBuilders)();
   return reg;
 }
 
 }  // namespace
 
+template <class S>
+std::vector<std::string> scenario_names() {
+  return registry<S>().names();
+}
+
+template std::vector<std::string> scenario_names<QueueScenario>();
+template std::vector<std::string> scenario_names<PollingScenario>();
+template std::vector<std::string> scenario_names<RestlessScenario>();
+template std::vector<std::string> scenario_names<BatchScenario>();
+template std::vector<std::string> scenario_names<NetworkScenario>();
+template std::vector<std::string> scenario_names<MmmScenario>();
+template std::vector<std::string> scenario_names<FluidScenario>();
+template std::vector<std::string> scenario_names<TreeScenario>();
+template std::vector<std::string> scenario_names<OnlineScenario>();
+
 const QueueScenario& queue_scenario(std::string_view name) {
-  return queue_registry().get(name, "queue");
+  return registry<QueueScenario>().get(name, "queue");
 }
 
 const PollingScenario& polling_scenario(std::string_view name) {
-  return polling_registry().get(name, "polling");
+  return registry<PollingScenario>().get(name, "polling");
 }
 
 const RestlessScenario& restless_scenario(std::string_view name) {
-  return restless_registry().get(name, "restless");
+  return registry<RestlessScenario>().get(name, "restless");
 }
 
 const BatchScenario& batch_scenario(std::string_view name) {
-  return batch_registry().get(name, "batch");
+  return registry<BatchScenario>().get(name, "batch");
 }
 
 const NetworkScenario& network_scenario(std::string_view name) {
-  return network_registry().get(name, "network");
+  return registry<NetworkScenario>().get(name, "network");
 }
 
 const MmmScenario& mmm_scenario(std::string_view name) {
-  return mmm_registry().get(name, "parallel-server");
+  return registry<MmmScenario>().get(name, "parallel-server");
 }
 
 const FluidScenario& fluid_scenario(std::string_view name) {
-  return fluid_registry().get(name, "fluid");
+  return registry<FluidScenario>().get(name, "fluid");
 }
 
 const TreeScenario& tree_scenario(std::string_view name) {
-  return tree_registry().get(name, "tree");
+  return registry<TreeScenario>().get(name, "tree");
 }
 
 const OnlineScenario& online_scenario(std::string_view name) {
-  return online_registry().get(name, "online");
-}
-
-std::vector<std::string> queue_scenario_names() {
-  return queue_registry().names();
-}
-
-std::vector<std::string> polling_scenario_names() {
-  return polling_registry().names();
-}
-
-std::vector<std::string> restless_scenario_names() {
-  return restless_registry().names();
-}
-
-std::vector<std::string> batch_scenario_names() {
-  return batch_registry().names();
-}
-
-std::vector<std::string> network_scenario_names() {
-  return network_registry().names();
-}
-
-std::vector<std::string> mmm_scenario_names() { return mmm_registry().names(); }
-
-std::vector<std::string> fluid_scenario_names() {
-  return fluid_registry().names();
-}
-
-std::vector<std::string> tree_scenario_names() {
-  return tree_registry().names();
-}
-
-std::vector<std::string> online_scenario_names() {
-  return online_registry().names();
+  return registry<OnlineScenario>().get(name, "online");
 }
 
 namespace {

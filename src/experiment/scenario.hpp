@@ -191,8 +191,8 @@ struct OnlineScenario {
   [[nodiscard]] double load() const;
 };
 
-/// Registry lookups. Unknown names throw std::invalid_argument listing the
-/// known scenarios; *_names() enumerate the catalogue for sweeps/tools.
+/// Registry lookups. Unknown names throw std::invalid_argument naming the
+/// family and listing the known scenarios.
 const QueueScenario& queue_scenario(std::string_view name);
 const PollingScenario& polling_scenario(std::string_view name);
 const RestlessScenario& restless_scenario(std::string_view name);
@@ -203,15 +203,10 @@ const FluidScenario& fluid_scenario(std::string_view name);
 const TreeScenario& tree_scenario(std::string_view name);
 const OnlineScenario& online_scenario(std::string_view name);
 
-std::vector<std::string> queue_scenario_names();
-std::vector<std::string> polling_scenario_names();
-std::vector<std::string> restless_scenario_names();
-std::vector<std::string> batch_scenario_names();
-std::vector<std::string> network_scenario_names();
-std::vector<std::string> mmm_scenario_names();
-std::vector<std::string> fluid_scenario_names();
-std::vector<std::string> tree_scenario_names();
-std::vector<std::string> online_scenario_names();
+/// The registered names of scenario family S (one of the nine scenario
+/// types above), sorted, for sweeps and tools.
+template <class S>
+std::vector<std::string> scenario_names();
 
 /// Rescale every arrival rate by a common factor so the base traffic
 /// intensity becomes `rho` — the standard load-sweep transform. Classes

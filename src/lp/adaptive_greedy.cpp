@@ -44,7 +44,7 @@ AdaptiveGreedyResult adaptive_greedy(
         pick = j;
       }
     }
-    STOSCHED_ASSERT(pick < n, "no class picked in adaptive greedy");
+    STOSCHED_REQUIRE(pick < n, "no class picked in adaptive greedy");
 
     out.y[step] = best;
     index_sum += best;

@@ -29,7 +29,7 @@ struct Tableau {
 
   void pivot(std::size_t pr, std::size_t pc) {
     const double pivot_val = at(pr, pc);
-    STOSCHED_ASSERT(std::abs(pivot_val) > tol::kPivot, "pivot too small");
+    STOSCHED_REQUIRE(std::abs(pivot_val) > tol::kPivot, "pivot too small");
     const double inv = 1.0 / pivot_val;
     for (std::size_t c = 0; c <= n_total; ++c) at(pr, c) *= inv;
     at(pr, pc) = 1.0;

@@ -112,7 +112,7 @@ std::vector<double> evaluate_policy(const FiniteMdp& mdp, double beta,
     b[s] = act.reward;
   }
   const bool ok = solve_linear_system(a, b, n);
-  STOSCHED_ASSERT(ok, "policy evaluation system is singular");
+  STOSCHED_REQUIRE(ok, "policy evaluation system is singular");
   return b;
 }
 
@@ -204,7 +204,7 @@ double average_reward_of_policy(const FiniteMdp& mdp,
     b[s] = act.reward;
   }
   const bool ok = solve_linear_system(a, b, n);
-  STOSCHED_ASSERT(ok, "average-reward evaluation system is singular");
+  STOSCHED_REQUIRE(ok, "average-reward evaluation system is singular");
   return b[0];
 }
 

@@ -104,7 +104,7 @@ OnlineResult simulate_online(const OnlineInstance& inst,
       const OnlineJob& job = inst[j];
       const std::size_t pick =
           policy.assign(ctx, job, states, job.release, policy_rng);
-      STOSCHED_ASSERT(pick < m, "policy assigned an out-of-range machine");
+      STOSCHED_REQUIRE(pick < m, "policy assigned an out-of-range machine");
       states[pick].queue.push_back({j, policy.believed_proc(ctx, job, pick),
                                     job.weight,
                                     policy.priority(ctx, job, pick)});

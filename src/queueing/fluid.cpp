@@ -96,7 +96,7 @@ FluidTrajectory fluid_drain(const std::vector<FluidClass>& classes,
       return out;
     }
   }
-  STOSCHED_ASSERT(false, "fluid integrator failed to converge (overload?)");
+  STOSCHED_REQUIRE(false, "fluid integrator failed to converge (overload?)");
   return out;
 }
 
@@ -187,8 +187,8 @@ std::vector<std::vector<double>> simulate_backlog_path(
     if (!handled && serving != SIZE_MAX) --q[serving];
   }
   record_until(t_end);
-  STOSCHED_ASSERT(samples.size() == sample_times.size(),
-                  "sample bookkeeping mismatch");
+  STOSCHED_REQUIRE(samples.size() == sample_times.size(),
+                   "sample bookkeeping mismatch");
   return samples;
 }
 

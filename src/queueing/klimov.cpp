@@ -221,7 +221,7 @@ mdp::FiniteMdp build_truncated_mdp(const KlimovNetwork& net, std::size_t cap) {
           stay -= p_served * exit_prob;
         }
       }
-      STOSCHED_ASSERT(stay > -1e-9, "uniformization mass overflow");
+      STOSCHED_REQUIRE(stay > -1e-9, "uniformization mass overflow");
       if (stay > 0.0) a.transitions.push_back({code, stay});
       m.add_action(code, std::move(a));
     };

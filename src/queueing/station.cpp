@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/contract.hpp"
 
 namespace stosched::queueing::detail {
 
@@ -130,7 +131,7 @@ bool StationKernel::next(Event& e) {
 void StationKernel::add(std::size_t cls, long delta) {
   const std::size_t s = spec.per_class ? cls : 0;
   count[s] += delta;
-  STOSCHED_ASSERT(count[s] >= 0, "negative population");
+  STOSCHED_INVARIANT(count[s] >= 0, "negative population");
   count_ta[s].observe(now, static_cast<double>(count[s]));
 }
 

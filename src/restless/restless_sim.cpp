@@ -216,7 +216,7 @@ struct ProductSpace {
     std::sort(chosen.begin(), chosen.end());
     for (std::size_t ai = 0; ai < subsets.size(); ++ai)
       if (subsets[ai] == chosen) return ai;
-    STOSCHED_ASSERT(false, "chosen subset not found");
+    STOSCHED_REQUIRE(false, "chosen subset not found");
     return 0;
   }
 };

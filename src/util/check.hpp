@@ -1,29 +1,22 @@
-// check.hpp — error handling primitives used across libstosched.
+// check.hpp — the always-on check of libstosched.
 //
-// The library distinguishes two failure categories:
-//   * contract violations by the caller (bad arguments, inconsistent model
-//     definitions) -> throw std::invalid_argument / std::logic_error via
-//     STOSCHED_REQUIRE, always on, cheap to test;
-//   * internal invariant breaks (algorithm bugs) -> throw invariant_error
-//     via STOSCHED_ASSERT, always on, in every build type: numerical
-//     simulation bugs are notoriously silent.
+// STOSCHED_REQUIRE is on in every build type and throws
+// std::invalid_argument. It guards everything a caller or a model can get
+// wrong (bad arguments, inconsistent model definitions, a policy returning
+// an out-of-range choice, a singular system, a diverging integrator), so
+// tests exercise it with EXPECT_THROW and Release binaries still refuse a
+// bad input instead of simulating garbage.
+//
+// Structural invariants on the per-event path (heap and ring emptiness,
+// nonnegative populations) use the contract family of util/contract.hpp
+// instead: it is compiled out in Release and aborts where it is armed.
 #pragma once
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
-namespace stosched {
-
-/// Exception thrown when an internal invariant fails. Deriving from
-/// std::logic_error keeps it catchable by generic handlers while remaining
-/// distinguishable in tests.
-class invariant_error : public std::logic_error {
- public:
-  explicit invariant_error(const std::string& what) : std::logic_error(what) {}
-};
-
-namespace detail {
+namespace stosched::detail {
 
 [[noreturn]] inline void throw_require(const char* expr, const char* file,
                                        int line, const std::string& msg) {
@@ -33,27 +26,11 @@ namespace detail {
   throw std::invalid_argument(os.str());
 }
 
-[[noreturn]] inline void throw_assert(const char* expr, const char* file,
-                                      int line, const std::string& msg) {
-  std::ostringstream os;
-  os << "invariant failed: (" << expr << ") at " << file << ':' << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw invariant_error(os.str());
-}
+}  // namespace stosched::detail
 
-}  // namespace detail
-}  // namespace stosched
-
-/// Validate a caller-supplied precondition; always enabled.
+/// Validate a precondition or a model-level condition; always enabled.
 #define STOSCHED_REQUIRE(cond, msg)                                       \
   do {                                                                    \
     if (!(cond))                                                          \
       ::stosched::detail::throw_require(#cond, __FILE__, __LINE__, (msg)); \
-  } while (0)
-
-/// Validate an internal invariant; always enabled.
-#define STOSCHED_ASSERT(cond, msg)                                       \
-  do {                                                                   \
-    if (!(cond))                                                         \
-      ::stosched::detail::throw_assert(#cond, __FILE__, __LINE__, (msg)); \
   } while (0)

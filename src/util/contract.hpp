@@ -6,22 +6,23 @@
 //   STOSCHED_ENSURES(cond, msg)    postcondition before a return
 //   STOSCHED_INVARIANT(cond, msg)  structural invariant inside an algorithm
 //
-// Division of labor with check.hpp — the policy the static rule
-// `entry-contract` (tools/ast_audit.py) enforces:
+// The library has exactly two checking mechanisms:
 //
-//   * STOSCHED_REQUIRE stays the *caller-facing* validation: always on,
-//     throws std::invalid_argument, used for config/argument checking that
-//     tests exercise with EXPECT_THROW. Cheap, outside hot loops.
-//   * The STOSCHED_EXPECTS/ENSURES/INVARIANT family is for checks that are
-//     too hot or too internal to pay for in Release: per-event loop
-//     invariants, ring-buffer index algebra, pop monotonicity of the
-//     future-event sets. They emit no code — the condition is type-checked
-//     but NOT evaluated — unless STOSCHED_CONTRACTS is defined, which the
-//     build system turns on for Debug builds and every STOSCHED_SANITIZE build
-//     (so ASan/UBSan/TSan CI legs run with contracts armed, where a
-//     violation's abort() produces a symbolized sanitizer-grade report).
-//     Release binaries carry zero overhead; the events/sec counters in
-//     BENCH_*.json guard that claim commit over commit.
+//   * STOSCHED_REQUIRE (util/check.hpp) is always on and throws
+//     std::invalid_argument. Every check that a caller or a model can
+//     trigger uses it, and tests exercise it with EXPECT_THROW.
+//   * This contract family is compiled out in Release and aborts. It is
+//     for checks too hot to pay for in Release: per-event invariants (an
+//     empty future-event set or FIFO popped, a negative population),
+//     ring-buffer index algebra, pop monotonicity of the event heap. The
+//     condition is type-checked but NOT evaluated unless
+//     STOSCHED_CONTRACTS is defined, which the build system turns on for
+//     Debug builds and every STOSCHED_SANITIZE build (so ASan/UBSan/TSan
+//     CI legs run with contracts armed, where a violation's abort()
+//     produces a symbolized sanitizer-grade report).
+//
+// The static rule `entry-contract` (tools/ast_audit.py) requires every
+// public simulator entry point to open with one of the two.
 //
 // A failed contract is an internal bug, never a recoverable condition, so
 // the handler prints and abort()s rather than throwing: stack intact for

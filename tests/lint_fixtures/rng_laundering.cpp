@@ -1,12 +1,10 @@
 // Fixture: rng-laundering (tools/ast_audit.py).
 //
-// The regex rule `substream-discipline` (tools/lint_stosched.py) audits
-// only simulate_* definitions, so this file is regex-clean: the entry point
-// forwards its Rng& whole, exactly as that rule demands. But the helper it
+// The entry point forwards its Rng& whole, as it should. But the helper it
 // forwards TO draws directly on the caller's stream — laundering the draw
-// through one call level. The AST-grade rule follows every function with an
-// Rng& parameter and flags the helper; tools/test_ast_audit.py asserts BOTH
-// outcomes (regex passes, ast_audit fires) to pin the loophole closed.
+// through one call level. The rule follows every function with an Rng&
+// parameter and flags the helper; tools/test_ast_audit.py asserts exactly
+// one finding, on the helper.
 #include "util/rng.hpp"
 
 namespace fixture {

@@ -171,10 +171,10 @@ TEST(Scenarios, RegistryLookupAndUnknownName) {
   EXPECT_EQ(t9.classes.size(), 3u);
   EXPECT_NEAR(t9.load(), 0.25 + 0.20 * (2.0 / 3.0) + 0.15 * 1.3, 1e-12);
   EXPECT_THROW(queue_scenario("no-such-scenario"), std::invalid_argument);
-  EXPECT_FALSE(queue_scenario_names().empty());
-  EXPECT_FALSE(polling_scenario_names().empty());
-  EXPECT_FALSE(restless_scenario_names().empty());
-  EXPECT_FALSE(batch_scenario_names().empty());
+  EXPECT_FALSE(scenario_names<QueueScenario>().empty());
+  EXPECT_FALSE(scenario_names<PollingScenario>().empty());
+  EXPECT_FALSE(scenario_names<RestlessScenario>().empty());
+  EXPECT_FALSE(scenario_names<BatchScenario>().empty());
 }
 
 TEST(Scenarios, ScaleToLoadHitsTarget) {
@@ -244,12 +244,25 @@ TEST(Adapters, SimOptionsValidationRejectsBadRuns) {
 }
 
 TEST(Scenarios, NewFamiliesRegistered) {
-  EXPECT_FALSE(network_scenario_names().empty());
-  EXPECT_FALSE(mmm_scenario_names().empty());
-  EXPECT_FALSE(fluid_scenario_names().empty());
-  EXPECT_FALSE(tree_scenario_names().empty());
-  EXPECT_FALSE(online_scenario_names().empty());
+  EXPECT_FALSE(scenario_names<NetworkScenario>().empty());
+  EXPECT_FALSE(scenario_names<MmmScenario>().empty());
+  EXPECT_FALSE(scenario_names<FluidScenario>().empty());
+  EXPECT_FALSE(scenario_names<TreeScenario>().empty());
+  EXPECT_FALSE(scenario_names<OnlineScenario>().empty());
   EXPECT_THROW(network_scenario("no-such"), std::invalid_argument);
+  // The unknown-name error names the family it was looked up in.
+  EXPECT_THROW(
+      {
+        try {
+          (void)tree_scenario("no-such");
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("unknown tree scenario"),
+                    std::string::npos)
+              << e.what();
+          throw;
+        }
+      },
+      std::invalid_argument);
   EXPECT_NO_THROW(batch_scenario("turnpike"));
   EXPECT_NO_THROW(batch_scenario("t5-twopoint"));
   EXPECT_NO_THROW(tree_scenario("intree"));

@@ -329,6 +329,30 @@ TEST(OnlineSim, SingleMachineServesInWseptOrder) {
   EXPECT_EQ(res.jobs, 3u);
 }
 
+TEST(OnlineSim, OutOfRangeAssignmentThrows) {
+  // A policy naming machine m (one past the last) is a caller error, which
+  // simulate_online refuses in every build type.
+  struct OffTheEnd final : online::OnlinePolicy {
+    const char* name() const noexcept override { return "off-the-end"; }
+    double believed_proc(const online::OnlineContext&, const OnlineJob&,
+                         std::size_t) const override {
+      return 1.0;
+    }
+    std::size_t assign(const online::OnlineContext&, const OnlineJob&,
+                       const std::vector<online::MachineState>& machines,
+                       double, Rng&) const override {
+      return machines.size();
+    }
+  };
+  const auto env = online::identical_machines(2, 1);
+  const std::vector<JobType> types{{1.0, 1.0, deterministic_dist(1.0)}};
+  OnlineInstance inst;
+  inst.push_back({0.0, 0, 1.0, 1.0, 1.0});
+  Rng rng(1);
+  EXPECT_THROW(online::simulate_online(inst, env, types, OffTheEnd{}, rng),
+               std::invalid_argument);
+}
+
 TEST(OnlinePolicies, GreedyBeatsRandomOnUnrelatedMachines) {
   const OnlineScenario s = experiment::online_scenario("online-unrelated");
   experiment::EngineOptions opt;
@@ -479,7 +503,7 @@ TEST(OnlineCrn, OneLpSolvePerReplicationUnderCrn) {
 // ---------------------------------------------------------------------------
 
 TEST(OnlineScenarios, RegistryResolvesTheCatalogue) {
-  const auto names = experiment::online_scenario_names();
+  const auto names = experiment::scenario_names<OnlineScenario>();
   for (const char* expected :
        {"online-identical", "online-unrelated", "online-bursty",
         "online-bernoulli"})

@@ -339,9 +339,5 @@ TEST(Check, RequireThrowsInvalidArgument) {
   EXPECT_THROW(STOSCHED_REQUIRE(false, "nope"), std::invalid_argument);
 }
 
-TEST(Check, AssertThrowsInvariantError) {
-  EXPECT_THROW(STOSCHED_ASSERT(false, "bug"), invariant_error);
-}
-
 }  // namespace
 }  // namespace stosched

@@ -23,11 +23,12 @@ ctest `ast_audit`:
 
           // rng-audit: sink(<why this function legitimately draws>)
 
-      placed on or up to three lines above the definition. The regex rule
-      `substream-discipline` in lint_stosched.py only inspects
-      simulate_* entry points; this rule closes the helper-function
-      loophole it leaves open (proved by tests/lint_fixtures/
-      rng_laundering.cpp, which that regex passes and this rule flags).
+      placed on or up to three lines above the definition. A simulate_*
+      entry point can never be a sink: its Rng& is the caller's CRN
+      stream, so the annotation on one is itself a violation and exempts
+      nothing (tests/lint_fixtures/sink_simulate.cpp). Helpers are audited
+      like entry points, so a draw laundered through one call level is
+      caught too (tests/lint_fixtures/rng_laundering.cpp).
 
   unordered-iteration
       Iterating a std::unordered_{map,set} (range-for or .begin()) makes
@@ -40,8 +41,8 @@ ctest `ast_audit`:
   entry-contract
       Public entry points (simulate_*/run_*/compare_* definitions under
       src/queueing, src/batch, src/online) must open with input
-      validation: a STOSCHED_EXPECTS/STOSCHED_REQUIRE/STOSCHED_ASSERT
-      contract or a validate()/validate_*() call within the first eight
+      validation: a STOSCHED_EXPECTS/STOSCHED_REQUIRE contract or a
+      validate()/validate_*() call within the first eight
       top-level statements. See src/util/contract.hpp for the
       REQUIRE-vs-EXPECTS division of labor.
 
@@ -68,15 +69,17 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lint_stosched  # noqa: E402  (shared strip_code / brace matching)
+import lint_stosched  # noqa: E402  (shared strip_code)
+from lint_stosched import line_of, match_brace, match_paren  # noqa: E402
 
 RNG_SCOPE_EXCLUDE = ("util", "dist")  # the sampling layer IS the draw site
 ENTRY_SCOPE = ("queueing", "batch", "online")
 ENTRY_NAME_RE = re.compile(r"\b((?:simulate|run|compare)_\w+)\s*\(")
 ENTRY_OPENING_STATEMENTS = 8
 ENTRY_VALIDATION_RE = re.compile(
-    r"STOSCHED_EXPECTS|STOSCHED_REQUIRE|STOSCHED_ASSERT"
+    r"STOSCHED_EXPECTS|STOSCHED_REQUIRE"
     r"|\.\s*validate\s*\(|\bvalidate_\w+\s*\(")
+SIMULATE_NAME_RE = re.compile(r"\b(simulate_\w+)\s*\(")
 # The reason is mandatory (non-empty after the paren); it may continue onto
 # the next comment line, so the closing paren is not required on this one.
 SINK_RE = re.compile(r"//\s*rng-audit:\s*sink\(\s*([^\s)][^\n]*)")
@@ -95,10 +98,6 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def line_of(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1
-
-
 def match_angle(text: str, start: int) -> int:
     """Index just past the `>` matching the `<` at start, or -1."""
     depth = 0
@@ -110,30 +109,6 @@ def match_angle(text: str, start: int) -> int:
             depth -= 1
             if depth == 0:
                 return i + 1
-    return -1
-
-
-def match_brace(text: str, open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def match_paren(text: str, open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
     return -1
 
 
@@ -154,8 +129,9 @@ def next_nonspace(text: str, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 def rng_param_functions(stripped: str):
-    """Yield (header_line, audit_start, audit_end, [param names]) for every
-    function DEFINITION whose parameter list contains `Rng&`.
+    """Yield (name, header_line, audit_start, audit_end, [param names]) for
+    every function DEFINITION whose parameter list contains `Rng&`;
+    audit_end is just past the closing brace.
 
     The audit region covers a constructor's member-initializer list too
     (substream carving often happens there). Declarations, using-aliases
@@ -180,16 +156,16 @@ def rng_param_functions(stripped: str):
         if open_idx < 0 or open_idx in seen_parens:
             continue
         seen_parens.add(open_idx)
-        close_idx = match_paren(stripped, open_idx)
-        if close_idx < 0:
+        params_end = match_paren(stripped, open_idx)
+        if params_end < 0:
             continue
-        params = stripped[open_idx:close_idx + 1]
+        params = stripped[open_idx:params_end]
         names = [n for n in re.findall(r"\bRng\s*&\s*(\w*)", params) if n]
         if not names:
             continue
 
         # Skip qualifiers between `)` and the body / init list.
-        i = close_idx + 1
+        i = params_end
         while True:
             i = next_nonspace(stripped, i)
             q = re.match(r"(?:const|noexcept|override|final|mutable)\b",
@@ -221,18 +197,19 @@ def rng_param_functions(stripped: str):
                 i += 1
         if i >= len(stripped) or stripped[i] != "{":
             continue
-        body_close = match_brace(stripped, i)
-        if body_close < 0:
+        body_end = match_brace(stripped, i)
+        if body_end < 0:
             continue
-        yield (line_of(stripped, open_idx),
+        fn = re.search(r"(\w*)\s*$", stripped[max(0, open_idx - 200):open_idx])
+        yield (fn.group(1), line_of(stripped, open_idx),
                audit_start if audit_start is not None else i,
-               body_close, names)
+               body_end, names)
 
 
 def audit_rng_uses(stripped: str, region_start: int, region_end: int,
                    name: str):
     """Yield (pos, message) for disallowed uses of parameter `name`."""
-    region = stripped[region_start:region_end + 1]
+    region = stripped[region_start:region_end]
     allowed = []
     for am in re.finditer(
             r"(?:const\s+)?Rng\s+\w+\s*\(\s*" + name + r"\s*\(\s*\)\s*\)",
@@ -278,11 +255,21 @@ def sink_lines(raw: str) -> set:
     return lines
 
 
+def sink_annotated(sinks: set, fn_line: int) -> bool:
+    return any(s in sinks for s in range(fn_line - 3, fn_line + 1))
+
+
+def sink_exempt(sinks: set, fn_line: int, fn_name: str) -> bool:
+    """A sink annotation exempts any definition but a simulate_* one."""
+    return (not fn_name.startswith("simulate_")
+            and sink_annotated(sinks, fn_line))
+
+
 def check_rng_laundering(rel: str, raw: str, stripped: str) -> list:
     sinks = sink_lines(raw)
     out = []
-    for header_line, start, end, names in rng_param_functions(stripped):
-        if any(s in sinks for s in range(header_line - 3, header_line + 1)):
+    for fn, header_line, start, end, names in rng_param_functions(stripped):
+        if sink_exempt(sinks, header_line, fn):
             continue
         for name in names:
             for pos, msg in audit_rng_uses(stripped, start, end, name):
@@ -376,23 +363,40 @@ def entry_opening(stripped: str, body_open: int) -> str:
     return stripped[body_open + 1:i + 1]
 
 
+def definitions(stripped: str, name_re):
+    """Yield (name match, body open index) for each function DEFINITION
+    whose name matches `name_re`; declarations and calls have no `{` after
+    the parameter list and its qualifiers."""
+    for m in name_re.finditer(stripped):
+        params_end = match_paren(stripped, m.end() - 1)
+        if params_end < 0:
+            continue
+        i = next_nonspace(stripped, params_end)
+        while q := re.match(r"(?:const|noexcept)\b", stripped[i:]):
+            i = next_nonspace(stripped, i + q.end())
+        if i < len(stripped) and stripped[i] == "{":
+            yield m, i
+
+
+def check_entry_sinks(rel: str, raw: str, stripped: str) -> list:
+    """rng-laundering: no `// rng-audit: sink` on a simulate_* definition."""
+    sinks = sink_lines(raw)
+    out = []
+    for m, _ in definitions(stripped, SIMULATE_NAME_RE):
+        line = line_of(stripped, m.start())
+        if sink_annotated(sinks, line):
+            out.append(Violation(
+                "rng-laundering", rel, line,
+                f"'{m.group(1)}' is an entry point: its Rng& is the "
+                "caller's CRN stream, so it must carve substreams and may "
+                "not be annotated `// rng-audit: sink`"))
+    return out
+
+
 def check_entry_contract(rel: str, stripped: str) -> list:
     out = []
-    for m in ENTRY_NAME_RE.finditer(stripped):
-        open_idx = m.end() - 1
-        close_idx = match_paren(stripped, open_idx)
-        if close_idx < 0:
-            continue
-        i = next_nonspace(stripped, close_idx + 1)
-        while True:
-            q = re.match(r"(?:const|noexcept)\b", stripped[i:])
-            if not q:
-                break
-            i = next_nonspace(stripped, i + q.end())
-        if i >= len(stripped) or stripped[i] != "{":
-            continue  # declaration or call, not a definition
-        opening = entry_opening(stripped, i)
-        if not ENTRY_VALIDATION_RE.search(opening):
+    for m, body_open in definitions(stripped, ENTRY_NAME_RE):
+        if not ENTRY_VALIDATION_RE.search(entry_opening(stripped, body_open)):
             out.append(Violation(
                 "entry-contract", rel, line_of(stripped, m.start()),
                 f"public entry '{m.group(1)}' must validate its inputs "
@@ -468,7 +472,7 @@ def clang_check_tu(tree: dict, rel: str, raw: str) -> list:
             continue  # declaration only
         line = ((fn.get("loc") or {}).get("line")
                 or (node.get("loc") or {}).get("line") or 0)
-        rng_params[node["id"]] = (node["name"], line)
+        rng_params[node["id"]] = (node["name"], line, fn.get("name", ""))
 
     for node, parents in ast_nodes(tree, []):
         kind = node.get("kind")
@@ -476,8 +480,8 @@ def clang_check_tu(tree: dict, rel: str, raw: str) -> list:
             ref = (node.get("referencedDecl") or {}).get("id")
             if ref not in rng_params:
                 continue
-            name, fn_line = rng_params[ref]
-            if any(s in sinks for s in range(fn_line - 3, fn_line + 1)):
+            name, fn_line, fn_name = rng_params[ref]
+            if sink_exempt(sinks, fn_line, fn_name):
                 continue
             line = ((node.get("loc") or {}).get("line") or fn_line)
             # Nearest structural ancestor, skipping implicit casts/parens.
@@ -582,6 +586,7 @@ def run_textual(root: Path, files: list) -> list:
         stripped = lint_stosched.strip_code(raw)
         if in_rng_scope(rel):
             out.extend(check_rng_laundering(rel, raw, stripped))
+            out.extend(check_entry_sinks(rel, raw, stripped))
         out.extend(check_unordered_iteration(rel, stripped))
         if in_entry_scope(rel):
             out.extend(check_entry_contract(rel, stripped))
@@ -603,12 +608,15 @@ def main(argv=None) -> int:
     if args.backend == "clang":
         db = args.compile_db or root / "build" / "compile_commands.json"
         violations = run_clang_backend(root, db, files)
-        # entry-contract is macro-shaped: always checked textually.
+        # entry-contract and the sink annotation are comment- and
+        # macro-shaped: always checked textually.
         for rel in files:
+            raw = (root / rel).read_text(encoding="utf-8")
+            stripped = lint_stosched.strip_code(raw)
             if in_entry_scope(rel):
-                raw = (root / rel).read_text(encoding="utf-8")
-                violations.extend(check_entry_contract(
-                    rel, lint_stosched.strip_code(raw)))
+                violations.extend(check_entry_contract(rel, stripped))
+            if in_rng_scope(rel):
+                violations.extend(check_entry_sinks(rel, raw, stripped))
     else:
         violations = run_textual(root, files)
 

@@ -9,12 +9,6 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         distribution adaptors — their algorithms are
                         implementation-defined, which breaks the bit-identical
                         (seed, stream) replay every CRN test depends on.
-  substream-discipline  Every simulate_* taking an Rng& must consume it only
-                        by (a) one bootstrap draw `const Rng root(rng());`,
-                        (b) deriving named substreams via .stream(i), or
-                        (c) forwarding it whole to a callee. Direct draws on
-                        the caller's stream entangle purposes and destroy the
-                        common-random-numbers pairing of policy arms.
   umbrella-header       Every header under src/ is transitively reachable
                         from the core/stosched.hpp umbrella, so one include
                         really is the full public API.
@@ -68,7 +62,7 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# C++ text handling
+# C++ text handling (tools/ast_audit.py imports these helpers too)
 # ---------------------------------------------------------------------------
 
 # A literal can open with an encoding prefix (u8, u, U, L), an R for raw
@@ -232,55 +226,6 @@ def rule_raw_random(root):
     return out
 
 
-RNG_DRAW_METHODS = ("uniform_pos|uniform|exponential|normal|gamma|below|"
-                    "bernoulli|categorical")
-
-
-def rule_substream_discipline(root):
-    """simulate_* must draw only via named per-purpose substreams."""
-    out = []
-    for path in cxx_files(root, "src"):
-        code = strip_code(read(path))
-        for m in re.finditer(r"\bsimulate_\w+\s*\(", code):
-            popen = m.end() - 1
-            pclose = match_paren(code, popen)
-            if pclose == -1:
-                continue
-            after = code[pclose:]
-            qual = re.match(r"\s*(?:const\s*)?(?:noexcept\s*)?\{", after)
-            if not qual:
-                continue  # declaration or call, not a definition
-            pm = re.search(r"\bRng\s*&\s*(\w+)", code[popen:pclose])
-            if not pm:
-                continue
-            p = pm.group(1)
-            body_open = pclose + qual.end() - 1
-            body_end = match_brace(code, body_open)
-            if body_end == -1:
-                continue
-            body = code[body_open:body_end]
-            # Mask the one allowed bootstrap draw `Rng root(rng());`.
-            masked = re.sub(rf"\bRng\s+\w+\s*\(\s*{p}\s*\(\s*\)\s*\)",
-                            lambda mo: " " * len(mo.group(0)), body)
-            checks = [
-                (rf"\b{p}\s*\.\s*(?:{RNG_DRAW_METHODS})\s*\(",
-                 f"direct draw on the caller's Rng '{p}'"),
-                (rf"\bsample\s*\(\s*{p}\s*\)",
-                 f"distribution sampled from the caller's Rng '{p}'"),
-                (rf"\b{p}\s*\(\s*\)",
-                 f"raw invocation of the caller's Rng '{p}' outside the "
-                 f"`const Rng root({p}());` bootstrap"),
-            ]
-            for pat, what in checks:
-                for v in re.finditer(pat, masked):
-                    out.append(Violation(
-                        rel(root, path), line_of(code, body_open + v.start()),
-                        "substream-discipline",
-                        f"{what} — derive named per-purpose substreams via "
-                        f".stream(i) so CRN arms replay identical workloads"))
-    return out
-
-
 def rule_umbrella_header(root):
     """Every src/**/*.hpp reachable from core/stosched.hpp."""
     src = root / "src"
@@ -436,7 +381,6 @@ def rule_metrics_registry(root):
 
 RULES = {
     "raw-random": rule_raw_random,
-    "substream-discipline": rule_substream_discipline,
     "umbrella-header": rule_umbrella_header,
     "bench-finish": rule_bench_finish,
     "float-accumulator": rule_float_accumulator,

@@ -3,11 +3,9 @@
 
 Proof obligations:
   * each rule FIRES on its committed fixture under tests/lint_fixtures/;
-  * the rng-laundering fixture is PASSED by the regex rule
-    `substream-discipline` in lint_stosched.py — the loophole (helpers that
-    draw on a routed stream) is exactly what the AST-grade rule adds;
   * the allowed Rng uses (bootstrap, .stream(i), whole-argument forwarding)
-    and the `// rng-audit: sink(reason)` escape hatch do NOT fire;
+    and the `// rng-audit: sink(reason)` escape hatch do NOT fire, except
+    that a sink annotation on a simulate_* entry point is itself flagged;
   * the real tree is clean.
 """
 
@@ -18,7 +16,6 @@ from pathlib import Path
 
 import ast_audit
 import lint_stosched as lint
-from test_lint_stosched import Skeleton
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
@@ -40,20 +37,6 @@ class RngLaunderingFires(unittest.TestCase):
         self.assertEqual(violations[0].rule, "rng-laundering")
         self.assertIn(".uniform", violations[0].message)
 
-    def test_regex_substream_rule_passes_the_same_fixture(self):
-        """The loophole this rule closes: substream-discipline only audits
-        simulate_* entry points, and the fixture's entry point forwards its
-        stream whole — so the regex rule finds nothing."""
-        skel = Skeleton()
-        try:
-            skel.add("rng_laundering.cpp", "src/bandit/helper.cpp")
-            findings = lint.run_rules(skel.root, ["substream-discipline"])
-            self.assertEqual(findings, [],
-                             "regex rule unexpectedly caught the fixture — "
-                             "update the loophole documentation")
-        finally:
-            skel.cleanup()
-
     def test_sink_annotation_with_reason_exempts(self):
         text = read_fixture("rng_laundering.cpp").replace(
             "double jitter_helper",
@@ -65,6 +48,22 @@ class RngLaunderingFires(unittest.TestCase):
             "double jitter_helper",
             "// rng-audit: sink()\ndouble jitter_helper")
         self.assertEqual(len(run_rng(text)), 1)
+
+    def test_sink_annotation_on_simulate_is_rejected(self):
+        """The annotation on an entry point is a finding of its own, and
+        the body is still audited."""
+        text = read_fixture("sink_simulate.cpp")
+        rel = "src/queueing/fixture.cpp"
+        entry = ast_audit.check_entry_sinks(rel, text, lint.strip_code(text))
+        self.assertEqual(len(entry), 1)
+        self.assertIn("simulate_sink_entry", entry[0].message)
+        body = run_rng(text, rel)
+        self.assertEqual(len(body), 1)
+        self.assertIn(".uniform", body[0].message)
+        helper = text.replace("simulate_sink_entry", "sink_helper")
+        self.assertEqual(ast_audit.check_entry_sinks(
+            rel, helper, lint.strip_code(helper)), [])
+        self.assertEqual(run_rng(helper, rel), [])
 
     def test_allowed_uses_are_clean(self):
         text = """
@@ -208,7 +207,8 @@ class RealTreeIsClean(unittest.TestCase):
             "annotate a deliberate sink with its reason")
 
     def test_fixture_per_rule_exists(self):
-        for fixture in ("rng_laundering.cpp", "unordered_iteration.cpp",
+        for fixture in ("rng_laundering.cpp", "sink_simulate.cpp",
+                        "unordered_iteration.cpp",
                         "contract_free_entry.cpp"):
             self.assertTrue((FIXTURES / fixture).is_file(),
                             f"missing fixture {fixture}")
