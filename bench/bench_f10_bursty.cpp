@@ -49,8 +49,8 @@ int main() {
         idc > 1.0 ? with_burstiness(base, idc) : base;  // IDC 1 == Poisson
     s.horizon = bench::smoke_scale(2e4, 2e3);
     s.warmup = bench::smoke_scale(2e3, 2e2);
-    const auto cmp = compare_queue_policies(s, {fcfs, cmu}, opt,
-                                            Pairing::kCommonRandomNumbers);
+    const auto cmp = compare_policies(s, {fcfs, cmu}, opt,
+                                      Pairing::kCommonRandomNumbers);
     const double f = cmp.arm[0][0].mean();
     const double c = cmp.arm[1][0].mean();
     fcfs_cost.push_back(f);

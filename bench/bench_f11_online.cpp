@@ -90,8 +90,8 @@ int main() {
     EngineOptions cell_opt = opt;
     if (cell.label == "bernoulli-lp")
       cell_opt.max_replications = bench::smoke_scale<std::size_t>(48, 16);
-    const auto cmp = compare_online_policies(cell.scenario, arms, cell_opt,
-                                             Pairing::kCommonRandomNumbers);
+    const auto cmp = compare_policies(cell.scenario, arms, cell_opt,
+                                      Pairing::kCommonRandomNumbers);
     std::size_t best = 0;
     for (std::size_t k = 0; k < arms.size(); ++k) {
       all_ratios_ge_one =

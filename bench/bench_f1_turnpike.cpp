@@ -78,7 +78,7 @@ int main() {
     opt.batch = 1024;
     opt.max_replications = bench::smoke_scale<std::size_t>(65536, 1024);
     opt.rel_precision = bench::smoke_scale(0.003, 0.02);
-    const auto res = experiment::run_batch(s, order, opt);
+    const auto res = experiment::run_policy(s, order, opt);
     const double mean = res.metrics[0].mean();
     const double lb = exact_weighted_flowtime(s.jobs, order) / m;
     const double rel = mean / lb - 1.0;

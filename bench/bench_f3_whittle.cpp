@@ -60,7 +60,7 @@ int main() {
         solve_relaxation_symmetric(proto, n, m).bound / n;
 
     const PriorityTable wt(n, w.index), mt(n, myo);
-    const auto cmp = experiment::compare_restless_policies(
+    const auto cmp = experiment::compare_policies(
         scenario, {wt, mt}, eopt, experiment::Pairing::kCommonRandomNumbers);
     const double whittle = cmp.arm[0][0].mean() / n;
     const double myopic = cmp.arm[1][0].mean() / n;

@@ -68,7 +68,7 @@ int main() {
   std::string sim_tols;
   for (const auto& prio :
        std::vector<std::vector<std::size_t>>{{0, 1}, {1, 0}}) {
-    const auto res = experiment::run_queue(
+    const auto res = experiment::run_policy(
         scenario,
         {"prio", Discipline::kPriorityNonPreemptive, prio}, eopt);
     std::vector<double> x(2);

@@ -45,7 +45,7 @@ int main() {
     opt.rel_precision = 0.03;
     opt.tracked = {0};  // stop on the cost-rate difference CI
     const auto cmp =
-        compare_mmm_policies(s, arms, opt, Pairing::kCommonRandomNumbers);
+        compare_policies(s, arms, opt, Pairing::kCommonRandomNumbers);
 
     const double good_cost = cmp.arm[0][0].mean();
     const double bad_cost = cmp.arm[1][0].mean();

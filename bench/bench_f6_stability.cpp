@@ -42,8 +42,8 @@ StabilityOutcome run_network_rows(Table& table, const char* tag,
   opt.max_replications = stosched::bench::smoke_scale<std::size_t>(64, 16);
   opt.rel_precision = 0.15;
   opt.tracked = {0};  // stop on the mean-backlog differences vs the bad arm
-  const auto cmp = compare_network_policies(scenario, arms, opt,
-                                            Pairing::kCommonRandomNumbers);
+  const auto cmp = compare_policies(scenario, arms, opt,
+                                    Pairing::kCommonRandomNumbers);
 
   StabilityOutcome out;
   out.replications = cmp.replications;

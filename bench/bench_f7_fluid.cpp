@@ -40,8 +40,8 @@ int main() {
   opt.max_replications = bench::smoke_scale<std::size_t>(128, 16);
   opt.rel_precision = 0.02;
   opt.tracked = {0};  // stop on the cost-integral difference CI
-  const auto cmp = compare_fluid_policies(scenario, {priority, reverse}, opt,
-                                          Pairing::kCommonRandomNumbers);
+  const auto cmp = compare_policies(scenario, {priority, reverse}, opt,
+                                    Pairing::kCommonRandomNumbers);
 
   const std::size_t nc = scenario.classes.size();
   double worst_dev = 0.0;

@@ -37,7 +37,7 @@ int main() {
     opt.max_replications = bench::smoke_scale<std::size_t>(1024, 48);
     opt.rel_precision = 0.05;
     opt.tracked = {0};  // stop on the makespan-difference CI
-    const auto cmp = compare_tree_policies(
+    const auto cmp = compare_policies(
         s, {TreePolicy::kHighestLevelFirst, TreePolicy::kFifoEligible}, opt,
         Pairing::kCommonRandomNumbers);
     const auto& hlf = cmp.arm[0][0];

@@ -49,8 +49,8 @@ int main() {
   opt.max_replications = bench::smoke_scale<std::size_t>(256, 24);
   opt.rel_precision = bench::smoke_scale(0.015, 0.06);
   opt.tracked = {0};
-  const auto cmp = compare_queue_policies(scenario, arms, opt,
-                                          Pairing::kCommonRandomNumbers);
+  const auto cmp = compare_policies(scenario, arms, opt,
+                                    Pairing::kCommonRandomNumbers);
 
   double best_cost = 1e18, klimov_cost = 0.0;
   std::vector<std::pair<std::string, std::size_t>> rows;  // name -> arm index

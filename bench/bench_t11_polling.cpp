@@ -51,8 +51,8 @@ int main() {
   for (const double setup : {1e-6, 0.1, 0.4, 1.0, 2.5}) {
     const PollingScenario scenario =
         with_switchover(base, deterministic_dist(setup));
-    const auto cmp = compare_polling_policies(scenario, arms, opt,
-                                              Pairing::kCommonRandomNumbers);
+    const auto cmp = compare_policies(scenario, arms, opt,
+                                      Pairing::kCommonRandomNumbers);
     const double ex = cmp.arm[0][0].mean();
     const double ga = cmp.arm[1][0].mean();
     const double li = cmp.arm[2][0].mean();

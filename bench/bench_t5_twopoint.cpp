@@ -48,7 +48,7 @@ int main() {
     eopt.batch = 256;
     eopt.max_replications = bench::smoke_scale<std::size_t>(8192, 256);
     eopt.rel_precision = bench::smoke_scale(0.01, 0.05);
-    const auto sim = experiment::run_batch(s, sept, eopt);
+    const auto sim = experiment::run_policy(s, sept, eopt);
     sim_covers_exact =
         sim_covers_exact && sim.estimate().covers(sept_flow);
 

@@ -48,8 +48,8 @@ int main() {
   opt.max_replications = bench::smoke_scale<std::size_t>(256, 24);
   opt.rel_precision = bench::smoke_scale(0.01, 0.05);
   opt.tracked = {0};  // stop on the cost-rate CIs
-  const auto cmp = compare_queue_policies(scenario, arms, opt,
-                                          Pairing::kCommonRandomNumbers);
+  const auto cmp = compare_policies(scenario, arms, opt,
+                                    Pairing::kCommonRandomNumbers);
 
   double best_cost = 1e18;
   std::string best_order, cmu_str;

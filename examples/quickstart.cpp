@@ -21,9 +21,9 @@ int main() {
   const batch::Batch& jobs =
       experiment::batch_scenario("quickstart-four-jobs").jobs;
 
-  // 2. Rank with the WSEPT (Smith/Rothkopf) index rule.
-  const core::IndexRule rule = core::wsept_rule(jobs);
-  const batch::Order order = rule.priority_order();
+  // 2. Rank with the WSEPT (Smith/Rothkopf) index rule: largest
+  //    w_j / E[P_j] first.
+  const batch::Order order = batch::wsept_order(jobs);
   std::cout << "WSEPT order:";
   for (const auto j : order) std::cout << ' ' << j;
   std::cout << '\n';
@@ -42,8 +42,8 @@ int main() {
   eopt.rel_precision = 0.005;
   eopt.max_replications = 200000;
   const experiment::EngineResult sim =
-      experiment::run_batch(experiment::batch_scenario("quickstart-four-jobs"),
-                            order, eopt);
+      experiment::run_policy(experiment::batch_scenario("quickstart-four-jobs"),
+                             order, eopt);
   const Estimate est = sim.estimate();
   std::cout << "simulated: " << est.value << " +/- " << est.half_width
             << " (95% CI, " << est.replications << " reps, "

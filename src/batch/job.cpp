@@ -108,10 +108,4 @@ Order random_order(std::size_t n, Rng& rng) {
   return order;
 }
 
-double total_expected_work(const Batch& jobs) {
-  double total = 0.0;
-  for (const auto& j : jobs) total += j.processing->mean();
-  return total;
-}
-
 }  // namespace stosched::batch

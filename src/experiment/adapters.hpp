@@ -1,14 +1,16 @@
 // adapters.hpp — glue between scenarios, simulators and the engine.
 //
 // Each simulator family exposes a `run_replication(model, Rng&, out)` entry
-// point in its own module; this layer pairs that with the scenario registry
-// and a *policy arm* type, so an experiment reads as
+// point in its own module. This layer gives every scenario family one hook
+// over it: a *policy arm* type, `metric_count(s)` and
+// `run_replication(s, arm, rng, out)`. Two templates drive any family through
+// the engine, so an experiment reads as
 //
-//     auto res = run_queue(queue_scenario("t9-three-class"),
-//                          {"c-mu", Discipline::kPriorityNonPreemptive, cmu},
-//                          opts);
-//     auto cmp = compare_queue_policies(scenario, {fcfs, cmu}, opts,
-//                                       Pairing::kCommonRandomNumbers);
+//     auto res = run_policy(queue_scenario("t9-three-class"),
+//                           {"c-mu", Discipline::kPriorityNonPreemptive, cmu},
+//                           opts);
+//     auto cmp = compare_policies(scenario, {fcfs, cmu}, opts,
+//                                 Pairing::kCommonRandomNumbers);
 //
 // The policy arm is deliberately separate from the scenario: a CRN
 // comparison varies the arm while replaying the same workload randomness.
@@ -81,33 +83,33 @@ std::vector<online::OnlinePolicyPtr> online_policy_arms();
 
 /// Metric layout of each scenario family (delegates to the simulator).
 std::size_t metric_count(const QueueScenario& s);
-std::vector<std::string> metric_names(const QueueScenario& s);
 std::size_t metric_count(const PollingScenario& s);
-std::vector<std::string> metric_names(const PollingScenario& s);
+/// Restless: the average per-epoch reward.
+inline std::size_t metric_count(const RestlessScenario&) { return 1; }
+/// Batch: the realized weighted flowtime.
+inline std::size_t metric_count(const BatchScenario&) { return 1; }
 std::size_t metric_count(const NetworkScenario& s);
-std::vector<std::string> metric_names(const NetworkScenario& s);
 std::size_t metric_count(const MmmScenario& s);
-std::vector<std::string> metric_names(const MmmScenario& s);
 /// Fluid layout: [cost_integral, then per path fraction i, per class j:
 /// scaled level q_j(t_i)/n].
 std::size_t metric_count(const FluidScenario& s);
-std::vector<std::string> metric_names(const FluidScenario& s);
+/// Tree: the realized makespan.
+inline std::size_t metric_count(const TreeScenario&) { return 1; }
 /// Online layout: [ratio, weighted_completion, lower_bound, jobs].
 std::size_t metric_count(const OnlineScenario& s);
-std::vector<std::string> metric_names(const OnlineScenario& s);
 
-/// Uniform replication entry points on scenario types.
+/// One replication of one policy arm on a scenario, into `out` (size
+/// metric_count(s)). Each overload prepares its arm itself (merges it into
+/// the simulator's options), so the templates below need nothing else.
 void run_replication(const QueueScenario& s, const QueuePolicy& policy,
                      Rng& rng, std::span<double> out);
 void run_replication(const PollingScenario& s, const PollingPolicy& policy,
                      Rng& rng, std::span<double> out);
-/// Restless: single metric, the average per-epoch reward.
 void run_replication(const RestlessScenario& s,
                      const restless::PriorityTable& priority, Rng& rng,
                      std::span<double> out);
-/// Batch: single metric, the realized weighted flowtime of `order` (list
-/// policy on s.machines machines; the exact single-machine path when
-/// machines == 1).
+/// Batch: list policy on s.machines machines; the exact single-machine path
+/// when machines == 1.
 void run_replication(const BatchScenario& s, const batch::Order& order,
                      Rng& rng, std::span<double> out);
 void run_replication(const NetworkScenario& s, const NetworkPolicy& policy,
@@ -118,58 +120,77 @@ void run_replication(const MmmScenario& s, const MmmPolicy& policy, Rng& rng,
 void run_replication(const FluidScenario& s,
                      const std::vector<std::size_t>& priority, Rng& rng,
                      std::span<double> out);
-/// Tree: single metric, the realized makespan under `policy`.
 void run_replication(const TreeScenario& s, batch::TreePolicy policy,
                      Rng& rng, std::span<double> out);
 void run_replication(const OnlineScenario& s,
                      const online::OnlinePolicy& policy, Rng& rng,
                      std::span<double> out);
 
-/// Engine drivers: replications of one policy on one scenario.
-EngineResult run_queue(const QueueScenario& s, const QueuePolicy& policy,
-                       const EngineOptions& opt);
-EngineResult run_restless(const RestlessScenario& s,
-                          const restless::PriorityTable& priority,
-                          const EngineOptions& opt);
-EngineResult run_batch(const BatchScenario& s, const batch::Order& order,
-                       const EngineOptions& opt);
-EngineResult run_network(const NetworkScenario& s, const NetworkPolicy& policy,
-                         const EngineOptions& opt);
-EngineResult run_fluid(const FluidScenario& s,
-                       const std::vector<std::size_t>& priority,
-                       const EngineOptions& opt);
-EngineResult run_online(const OnlineScenario& s,
-                        const online::OnlinePolicy& policy,
-                        const EngineOptions& opt);
+/// The policy-arm type of each scenario family, so that a braced list of
+/// arms (`compare_policies(s, {a, b}, ...)`) needs no spelled-out type.
+template <class S>
+struct PolicyArm;
+template <> struct PolicyArm<QueueScenario> { using type = QueuePolicy; };
+template <> struct PolicyArm<PollingScenario> { using type = PollingPolicy; };
+template <> struct PolicyArm<RestlessScenario> {
+  using type = restless::PriorityTable;
+};
+template <> struct PolicyArm<BatchScenario> { using type = batch::Order; };
+template <> struct PolicyArm<NetworkScenario> { using type = NetworkPolicy; };
+template <> struct PolicyArm<MmmScenario> { using type = MmmPolicy; };
+template <> struct PolicyArm<FluidScenario> {
+  using type = std::vector<std::size_t>;
+};
+template <> struct PolicyArm<TreeScenario> { using type = batch::TreePolicy; };
+template <> struct PolicyArm<OnlineScenario> {
+  using type = online::OnlinePolicyPtr;
+};
 
-/// Paired policy comparisons (arm 0 is the baseline the differences are
-/// taken against).
-PairedResult compare_queue_policies(const QueueScenario& s,
-                                    const std::vector<QueuePolicy>& arms,
-                                    const EngineOptions& opt, Pairing pairing);
-PairedResult compare_polling_policies(const PollingScenario& s,
-                                      const std::vector<PollingPolicy>& arms,
-                                      const EngineOptions& opt,
-                                      Pairing pairing);
-PairedResult compare_restless_policies(
-    const RestlessScenario& s,
-    const std::vector<restless::PriorityTable>& arms, const EngineOptions& opt,
-    Pairing pairing);
-PairedResult compare_network_policies(const NetworkScenario& s,
-                                      const std::vector<NetworkPolicy>& arms,
-                                      const EngineOptions& opt,
-                                      Pairing pairing);
-PairedResult compare_mmm_policies(const MmmScenario& s,
-                                  const std::vector<MmmPolicy>& arms,
-                                  const EngineOptions& opt, Pairing pairing);
-PairedResult compare_fluid_policies(
-    const FluidScenario& s, const std::vector<std::vector<std::size_t>>& arms,
-    const EngineOptions& opt, Pairing pairing);
-PairedResult compare_tree_policies(const TreeScenario& s,
-                                   const std::vector<batch::TreePolicy>& arms,
-                                   const EngineOptions& opt, Pairing pairing);
-PairedResult compare_online_policies(
+/// Replications of one policy arm on one scenario.
+template <class S, class Arm = typename PolicyArm<S>::type>
+EngineResult run_policy(const S& s, const Arm& arm, const EngineOptions& opt) {
+  return run(opt, metric_count(s),
+             [&](std::size_t, Rng& rng, std::span<double> out) {
+               run_replication(s, arm, rng, out);
+             });
+}
+
+/// Paired comparison of K policy arms on one scenario (arm 0 is the
+/// baseline the differences are taken against).
+template <class S, class Arm = typename PolicyArm<S>::type>
+PairedResult compare_policies(const S& s, const std::vector<Arm>& arms,
+                              const EngineOptions& opt, Pairing pairing) {
+  return run_paired(opt, arms.size(), metric_count(s), pairing,
+                    [&](std::size_t, std::size_t k, Rng& rng,
+                        std::span<double> out) {
+                      run_replication(s, arms[k], rng, out);
+                    });
+}
+
+/// Online arms: under CRN every arm shares one realized instance, so it is
+/// generated and bounded once per replication; independent streams give
+/// every arm its own instance.
+PairedResult compare_policies(const OnlineScenario& s,
+                              const std::vector<online::OnlinePolicyPtr>& arms,
+                              const EngineOptions& opt, Pairing pairing);
+
+// The three forwards below keep the names perfbench/ calls; it is their
+// only caller.
+inline PairedResult compare_queue_policies(const QueueScenario& s,
+                                           const std::vector<QueuePolicy>& arms,
+                                           const EngineOptions& opt,
+                                           Pairing pairing) {
+  return compare_policies(s, arms, opt, pairing);
+}
+inline PairedResult compare_network_policies(
+    const NetworkScenario& s, const std::vector<NetworkPolicy>& arms,
+    const EngineOptions& opt, Pairing pairing) {
+  return compare_policies(s, arms, opt, pairing);
+}
+inline PairedResult compare_online_policies(
     const OnlineScenario& s, const std::vector<online::OnlinePolicyPtr>& arms,
-    const EngineOptions& opt, Pairing pairing);
+    const EngineOptions& opt, Pairing pairing) {
+  return compare_policies(s, arms, opt, pairing);
+}
 
 }  // namespace stosched::experiment

@@ -5,19 +5,7 @@
 
 #include "obs/progress.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace stosched::experiment {
-
-unsigned engine_threads() noexcept {
-#ifdef _OPENMP
-  return static_cast<unsigned>(std::max(1, omp_get_max_threads()));
-#else
-  return 1;
-#endif
-}
 
 namespace detail {
 

@@ -102,9 +102,6 @@ struct PairedResult {
   bool converged = true;
 };
 
-/// Worker threads the engine fans out over (1 without OpenMP).
-unsigned engine_threads() noexcept;
-
 namespace detail {
 
 /// True iff one accumulator meets the precision target of `opt`.

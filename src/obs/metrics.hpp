@@ -9,8 +9,6 @@
 //   * Counter    — monotone event tally (relaxed-atomic adds). The sums are
 //                  commutative, so totals are bit-identical under any
 //                  OpenMP schedule — the discipline the LP counters set.
-//   * Gauge      — last-written level (relaxed store/load); for facts, not
-//                  sums (e.g. a configuration knob worth exporting).
 //   * Histogram  — deterministic log₂-bucketed distribution. The bucket of
 //                  a value is a pure function of its IEEE-754 bits (no
 //                  floating log), bucket counts are commutative atomic
@@ -23,7 +21,7 @@
 // plain LocalHistogram (one array increment per sample, no atomics) and
 // merge it into the shared registry histogram once per replication.
 // Callers that need an instrument repeatedly cache the reference returned
-// by counter()/gauge()/histogram(); the registry lookup itself takes a
+// by counter()/histogram(); the registry lookup itself takes a
 // mutex and is not for hot loops.
 //
 // The repo lint rule `metrics-registry` (tools/lint_stosched.py) forbids
@@ -40,7 +38,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace stosched::obs {
 
@@ -63,25 +61,6 @@ class Counter {
  private:
   std::string name_;
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-written level. Thread-safe; last writer wins (use for facts and
-/// settings, not for sums — concurrent set() is a race by design).
-class Gauge {
- public:
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
- private:
-  std::string name_;
-  std::atomic<double> value_{0.0};
 };
 
 // ---- deterministic log₂ bucketing ------------------------------------------
@@ -224,7 +203,6 @@ class Histogram {
 // a mutex: resolve once, cache the reference.
 
 Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name);
 
 /// Read a counter without creating it: 0 when the name was never
@@ -234,15 +212,6 @@ std::uint64_t counter_value(const std::string& name) noexcept;
 
 /// Snapshot a histogram without creating it: empty when never registered.
 HistogramSnapshot histogram_snapshot(const std::string& name) noexcept;
-
-/// Name-sorted snapshot of every registered instrument (deterministic
-/// iteration order for reports and JSON export).
-struct MetricsSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
-};
-MetricsSnapshot metrics_snapshot();
 
 /// The two cross-simulator tail histograms every event-driven simulator
 /// merges into (post-warmup per-visit waiting time; per-job time in

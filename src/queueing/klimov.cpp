@@ -116,19 +116,6 @@ SimResult simulate_klimov(const KlimovNetwork& net,
   return simulate_mg1(net.classes, opt, rng);
 }
 
-void run_replication(const KlimovNetwork& net,
-                     const std::vector<std::size_t>& priority, double horizon,
-                     double warmup, Rng& rng, std::span<double> out) {
-  net.validate();
-  SimOptions opt;
-  opt.horizon = horizon;
-  opt.warmup = warmup;
-  opt.discipline = Discipline::kPriorityNonPreemptive;
-  opt.priority = priority;
-  opt.feedback = net.feedback;
-  run_replication(net.classes, opt, rng, out);
-}
-
 // ---------------------------------------------------------------------------
 // Truncated exact baseline (exponential services).
 // ---------------------------------------------------------------------------

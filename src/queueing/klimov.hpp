@@ -64,12 +64,6 @@ SimResult simulate_klimov(const KlimovNetwork& net,
                           const std::vector<std::size_t>& priority,
                           double horizon, double warmup, Rng& rng);
 
-/// Experiment-engine adapter; metric layout is mg1_metric_names(N) — one
-/// simulate_klimov replication written into `out`.
-void run_replication(const KlimovNetwork& net,
-                     const std::vector<std::size_t>& priority, double horizon,
-                     double warmup, Rng& rng, std::span<double> out);
-
 /// Exact baseline for exponential services: build the uniformized MDP of the
 /// truncated (queue lengths <= cap) preemptive system; action = class to
 /// serve; reward = -holding cost rate. Used by tests/benches to certify the

@@ -76,17 +76,6 @@ std::size_t mg1_metric_count(std::size_t num_classes) {
   return 2 + 3 * num_classes;
 }
 
-std::vector<std::string> mg1_metric_names(std::size_t num_classes) {
-  std::vector<std::string> names{"cost_rate", "utilization"};
-  for (std::size_t j = 0; j < num_classes; ++j) {
-    const std::string cls = std::to_string(j);
-    names.push_back("L_" + cls);
-    names.push_back("wait_" + cls);
-    names.push_back("throughput_" + cls);
-  }
-  return names;
-}
-
 void run_replication(const std::vector<ClassSpec>& classes,
                      const SimOptions& options, Rng& rng,
                      std::span<double> out) {

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -111,7 +110,6 @@ SimResult simulate_mg1(const std::vector<ClassSpec>& classes,
 ///   [cost_rate, utilization,
 ///    then per class j: mean_in_system_j, mean_wait_j, throughput_j].
 std::size_t mg1_metric_count(std::size_t num_classes);
-std::vector<std::string> mg1_metric_names(std::size_t num_classes);
 
 /// Uniform replication entry point: one simulate_mg1 run, metrics written
 /// into `out` (size mg1_metric_count(classes.size())).

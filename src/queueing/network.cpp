@@ -119,10 +119,6 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
 
 std::size_t network_metric_count() { return 3; }
 
-std::vector<std::string> network_metric_names() {
-  return {"mean_total", "final_total", "growth_rate"};
-}
-
 void run_replication(const NetworkConfig& config, double horizon,
                      std::size_t samples, Rng& rng, std::span<double> out) {
   STOSCHED_REQUIRE(out.size() == network_metric_count(),

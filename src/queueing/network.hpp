@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -116,7 +115,6 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
 /// Experiment-engine adapter: metric vector layout is
 ///   [mean_total, final_total, growth_rate].
 std::size_t network_metric_count();
-std::vector<std::string> network_metric_names();
 
 /// Uniform replication entry point: one simulate_network run, metrics
 /// written into `out` (size network_metric_count()).

@@ -35,13 +35,6 @@ std::size_t mmm_metric_count(std::size_t num_classes) {
   return 2 + num_classes;
 }
 
-std::vector<std::string> mmm_metric_names(std::size_t num_classes) {
-  std::vector<std::string> names{"cost_rate", "utilization"};
-  for (std::size_t j = 0; j < num_classes; ++j)
-    names.push_back("L_" + std::to_string(j));
-  return names;
-}
-
 void run_replication(const std::vector<ClassSpec>& classes, unsigned servers,
                      const std::vector<std::size_t>& priority, double horizon,
                      double warmup, Rng& rng, std::span<double> out) {

@@ -150,14 +150,6 @@ std::size_t polling_metric_count(std::size_t num_queues) {
   return 3 + num_queues;
 }
 
-std::vector<std::string> polling_metric_names(std::size_t num_queues) {
-  std::vector<std::string> names{"cost_rate", "switching_fraction",
-                                 "serving_fraction"};
-  for (std::size_t j = 0; j < num_queues; ++j)
-    names.push_back("L_" + std::to_string(j));
-  return names;
-}
-
 void run_replication(const std::vector<ClassSpec>& classes,
                      const PollingOptions& options, Rng& rng,
                      std::span<double> out) {

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dist/distribution.hpp"
@@ -58,7 +57,6 @@ PollingResult simulate_polling(const std::vector<ClassSpec>& classes,
 ///   [cost_rate, switching_fraction, serving_fraction,
 ///    then per queue j: mean_in_system_j].
 std::size_t polling_metric_count(std::size_t num_queues);
-std::vector<std::string> polling_metric_names(std::size_t num_queues);
 
 /// Uniform replication entry point for the experiment engine.
 void run_replication(const std::vector<ClassSpec>& classes,

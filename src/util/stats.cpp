@@ -66,52 +66,6 @@ double TimeAverage::finish(double t_end) noexcept {
   return integral_ / (t_end - start_t_);
 }
 
-BatchMeans::BatchMeans(std::size_t batches) : target_batches_(batches) {
-  STOSCHED_REQUIRE(batches >= 4 && batches % 2 == 0,
-                   "batch-means needs an even batch count >= 4");
-  sums_.reserve(batches);
-}
-
-void BatchMeans::push(double x) {
-  current_sum_ += x;
-  if (++current_count_ == batch_size_) {
-    sums_.push_back(current_sum_);
-    current_sum_ = 0.0;
-    current_count_ = 0;
-    if (sums_.size() == target_batches_) collapse();
-  }
-}
-
-void BatchMeans::collapse() {
-  // Pairwise-merge adjacent batches; doubles the batch size, halves count.
-  std::vector<double> merged;
-  merged.reserve(sums_.size() / 2);
-  for (std::size_t i = 0; i + 1 < sums_.size(); i += 2)
-    merged.push_back(sums_[i] + sums_[i + 1]);
-  sums_ = std::move(merged);
-  batch_size_ *= 2;
-}
-
-double BatchMeans::mean() const noexcept {
-  double total = current_sum_;
-  std::size_t count = current_count_;
-  for (double s : sums_) total += s;
-  count += sums_.size() * batch_size_;
-  return count > 0 ? total / static_cast<double>(count) : 0.0;
-}
-
-std::size_t BatchMeans::complete_batches() const noexcept {
-  return sums_.size();
-}
-
-double BatchMeans::ci_halfwidth(double alpha) const {
-  const std::size_t k = sums_.size();
-  if (k < 2) return 0.0;
-  RunningStat bs;
-  for (double s : sums_) bs.push(s / static_cast<double>(batch_size_));
-  return student_t_quantile(alpha, k - 1) * bs.sem();
-}
-
 double student_t_quantile(double alpha_two_sided, std::size_t dof) {
   STOSCHED_REQUIRE(alpha_two_sided > 0.0 && alpha_two_sided < 1.0,
                    "alpha must lie in (0,1)");

@@ -1,6 +1,6 @@
 // stats.hpp — streaming statistics for simulation output analysis.
 //
-// Three layers:
+// Two layers:
 //   * RunningStat — Welford single-pass mean/variance, mergeable so that
 //     per-thread accumulators combine into a global one without loss
 //     (Chan–Golub–LeVeque pairwise update). This is the workhorse of the
@@ -8,12 +8,9 @@
 //   * TimeAverage — integral of a piecewise-constant sample path divided by
 //     elapsed time; the estimator for time-stationary quantities such as
 //     queue lengths (E[L]) in steady-state experiments.
-//   * BatchMeans — classical fixed-number-of-batches method for confidence
-//     intervals on a single long run with autocorrelated output.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace stosched {
 
@@ -74,29 +71,6 @@ class TimeAverage {
   double value_ = 0.0;
   double start_t_ = 0.0;
   bool started_ = false;
-};
-
-/// Fixed-number-of-batches batch-means CI for autocorrelated series.
-/// Observations stream in; the class maintains `k` batches of growing size
-/// by pairwise collapsing, the standard approach when the run length is not
-/// known in advance.
-class BatchMeans {
- public:
-  explicit BatchMeans(std::size_t batches = 32);
-  void push(double x);
-  [[nodiscard]] double mean() const noexcept;
-  /// Half-width using Student-t with (k-1) dof; requires >= 2 full batches.
-  [[nodiscard]] double ci_halfwidth(double alpha = 0.05) const;
-  [[nodiscard]] std::size_t complete_batches() const noexcept;
-
- private:
-  void collapse();
-
-  std::size_t target_batches_;
-  std::size_t batch_size_ = 1;
-  std::vector<double> sums_;     // completed batch sums
-  double current_sum_ = 0.0;
-  std::size_t current_count_ = 0;
 };
 
 /// Student-t upper quantile t_{1-alpha/2, dof}; dof>=1. Uses the normal

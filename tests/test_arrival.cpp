@@ -299,10 +299,10 @@ TEST(ArrivalSim, CrnCutsDifferenceVarianceUnderMmpp) {
   EngineOptions opt;
   opt.seed = 2027;
   opt.max_replications = 128;
-  const auto crn = compare_queue_policies(s, {fcfs, cmu}, opt,
-                                          Pairing::kCommonRandomNumbers);
-  const auto ind = compare_queue_policies(s, {fcfs, cmu}, opt,
-                                          Pairing::kIndependentStreams);
+  const auto crn = compare_policies(s, {fcfs, cmu}, opt,
+                                    Pairing::kCommonRandomNumbers);
+  const auto ind = compare_policies(s, {fcfs, cmu}, opt,
+                                    Pairing::kIndependentStreams);
   const double var_crn = crn.diff[0][0].variance();
   const double var_ind = ind.diff[0][0].variance();
   ASSERT_GT(var_ind, 0.0);

@@ -72,13 +72,10 @@ TEST(SubsetDp, SimulationConfirmsPriorityValue) {
     scenario.jobs.push_back({1.0, exponential_dist(j.rate)});
   scenario.machines = 2;
   const Order order = sept_order(scenario.jobs);
-  const auto res = experiment::run_batch(scenario, order,
-                                         [] {
-                                           experiment::EngineOptions o;
-                                           o.seed = 5;
-                                           o.max_replications = 40000;
-                                           return o;
-                                         }());
+  experiment::EngineOptions opt;
+  opt.seed = 5;
+  opt.max_replications = 40000;
+  const auto res = experiment::run_policy(scenario, order, opt);
   const auto est = make_estimate(res.metrics[0]);
   // List policies and DP priority policies coincide for exponential jobs
   // (memorylessness): simulated SEPT must cover the DP value.
@@ -144,7 +141,7 @@ TEST(DiscreteExact, AgreesWithSimulation) {
   experiment::EngineOptions opt;
   opt.seed = 3;
   opt.max_replications = 30000;
-  const auto res = experiment::run_batch(scenario, order, opt);
+  const auto res = experiment::run_policy(scenario, order, opt);
   EXPECT_TRUE(make_estimate(res.metrics[0]).covers(exact.flowtime));
 }
 
@@ -309,7 +306,7 @@ TEST(InTree, HlfNoWorseThanFifoEligible) {
   experiment::EngineOptions opt;
   opt.seed = 1;
   opt.max_replications = 4000;
-  const auto cmp = experiment::compare_tree_policies(
+  const auto cmp = experiment::compare_policies(
       scenario, {TreePolicy::kHighestLevelFirst, TreePolicy::kFifoEligible},
       opt, experiment::Pairing::kCommonRandomNumbers);
   const auto& hlf = cmp.arm[0][0];

@@ -68,7 +68,7 @@ TEST(Simulation, UnbiasedForExactValue) {
   experiment::EngineOptions opt;
   opt.seed = 11;
   opt.max_replications = 20000;
-  const auto res = experiment::run_batch(scenario, order, opt);
+  const auto res = experiment::run_policy(scenario, order, opt);
   const auto est = make_estimate(res.metrics[0]);
   EXPECT_TRUE(est.covers(exact))
       << "exact " << exact << " vs " << est.value << " ± " << est.half_width;
@@ -176,6 +176,14 @@ TEST(Orders, GeneratorsSane) {
   std::vector<char> seen(6, 0);
   for (const auto j : rnd) seen[j] = 1;
   for (const char s : seen) EXPECT_TRUE(s);
+}
+
+TEST(Orders, SeptLeptAreReverses) {
+  Rng rng(4);
+  const Batch jobs = random_batch(5, rng);
+  // With distinct means, SEPT and LEPT are exact reverses.
+  const auto lept = lept_order(jobs);
+  EXPECT_EQ(sept_order(jobs), Order(lept.rbegin(), lept.rend()));
 }
 
 }  // namespace

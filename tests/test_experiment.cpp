@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "experiment/adapters.hpp"
 #include "experiment/engine.hpp"
@@ -36,6 +37,37 @@ QueuePolicy fcfs_arm() { return {"fcfs", queueing::Discipline::kFcfs, {}}; }
 QueuePolicy cmu_arm(const QueueScenario& s) {
   return {"c-mu", queueing::Discipline::kPriorityNonPreemptive,
           queueing::cmu_order(s.classes)};
+}
+
+/// run_policy and compare_policies drive the same per-family hook: with a
+/// fixed replication count under CRN, arm 0 of a comparison reproduces the
+/// one-policy run bit for bit, and an arm compared with itself differs by
+/// exactly zero in every replication.
+template <class S, class Arm>
+void expect_run_matches_compare(const S& s, const Arm& a, const Arm& b) {
+  EngineOptions opt;
+  opt.seed = 77;
+  opt.max_replications = 20;  // two merge cells, the second one partial
+  opt.rel_precision = 0.0;
+  EngineResult one;
+  if constexpr (std::is_same_v<Arm, online::OnlinePolicyPtr>)
+    one = run_policy(s, *a, opt);
+  else
+    one = run_policy(s, a, opt);
+  const auto pair = compare_policies(s, std::vector<Arm>{a, b}, opt,
+                                     Pairing::kCommonRandomNumbers);
+  const auto self = compare_policies(s, std::vector<Arm>{a, a}, opt,
+                                     Pairing::kCommonRandomNumbers);
+  ASSERT_EQ(one.metrics.size(), metric_count(s)) << s.name;
+  ASSERT_EQ(pair.arm[0].size(), metric_count(s)) << s.name;
+  for (std::size_t d = 0; d < metric_count(s); ++d) {
+    EXPECT_EQ(one.metrics[d].mean(), pair.arm[0][d].mean())
+        << s.name << " metric " << d;
+    EXPECT_EQ(one.metrics[d].variance(), pair.arm[0][d].variance())
+        << s.name << " metric " << d;
+    EXPECT_EQ(self.diff[0][d].min(), 0.0) << s.name << " metric " << d;
+    EXPECT_EQ(self.diff[0][d].max(), 0.0) << s.name << " metric " << d;
+  }
 }
 
 }  // namespace
@@ -113,8 +145,8 @@ TEST(Engine, PairedDiffMatchesArmMeans) {
   QueuePolicy reversed = cmu_arm(s);
   std::reverse(reversed.priority.begin(), reversed.priority.end());
   const auto res =
-      compare_queue_policies(s, {fcfs_arm(), cmu_arm(s), reversed}, opt,
-                             Pairing::kCommonRandomNumbers);
+      compare_policies(s, {fcfs_arm(), cmu_arm(s), reversed}, opt,
+                       Pairing::kCommonRandomNumbers);
   ASSERT_EQ(res.arm.size(), 3u);
   ASSERT_EQ(res.diff.size(), 2u);
   EXPECT_EQ(res.replications, 96u);
@@ -137,9 +169,9 @@ TEST(Engine, CrnCutsDifferenceVarianceAtLeastTwofold) {
   const auto s = short_t9();
   const std::vector<QueuePolicy> arms{fcfs_arm(), cmu_arm(s)};
   const auto crn =
-      compare_queue_policies(s, arms, opt, Pairing::kCommonRandomNumbers);
+      compare_policies(s, arms, opt, Pairing::kCommonRandomNumbers);
   const auto ind =
-      compare_queue_policies(s, arms, opt, Pairing::kIndependentStreams);
+      compare_policies(s, arms, opt, Pairing::kIndependentStreams);
   const double var_crn = crn.diff[0][0].variance();
   const double var_ind = ind.diff[0][0].variance();
   ASSERT_GT(var_ind, 0.0);
@@ -159,8 +191,8 @@ TEST(Engine, PairedSequentialStoppingConverges) {
   opt.max_replications = 4096;
   opt.tracked = {0};  // the comparison is about the cost rate
   const auto s = short_t9();
-  const auto res = compare_queue_policies(s, {fcfs_arm(), cmu_arm(s)}, opt,
-                                          Pairing::kCommonRandomNumbers);
+  const auto res = compare_policies(s, {fcfs_arm(), cmu_arm(s)}, opt,
+                                    Pairing::kCommonRandomNumbers);
   ASSERT_TRUE(res.converged);
   const double hw = res.diff[0][0].ci_halfwidth(opt.alpha);
   EXPECT_LE(hw, opt.rel_precision * std::abs(res.diff[0][0].mean()) + 1e-12);
@@ -214,8 +246,6 @@ TEST(Adapters, QueueReplicationMatchesDirectSimulate) {
   EXPECT_DOUBLE_EQ(rebuilt.cost_rate, direct.cost_rate);
   EXPECT_DOUBLE_EQ(rebuilt.per_class[2].mean_wait,
                    direct.per_class[2].mean_wait);
-  EXPECT_EQ(queueing::mg1_metric_names(3).size(),
-            queueing::mg1_metric_count(3));
 }
 
 TEST(Adapters, SimOptionsValidationRejectsBadRuns) {
@@ -343,8 +373,6 @@ TEST(Adapters, MmmReplicationMatchesDirectSimulate) {
   EXPECT_DOUBLE_EQ(metrics[1], direct.utilization);
   for (std::size_t j = 0; j < s.classes.size(); ++j)
     EXPECT_DOUBLE_EQ(metrics[2 + j], direct.mean_in_system[j]);
-  EXPECT_EQ(queueing::mmm_metric_names(2).size(),
-            queueing::mmm_metric_count(2));
 }
 
 TEST(Adapters, NetworkGrowthSignSeparatesStableFromBad) {
@@ -359,9 +387,9 @@ TEST(Adapters, NetworkGrowthSignSeparatesStableFromBad) {
   EngineOptions opt;
   opt.seed = 31;
   opt.max_replications = 4;
-  const auto bad = run_network(s, arms[0], opt);
-  const auto fcfs = run_network(s, arms[1], opt);
-  const auto safe = run_network(s, arms[2], opt);
+  const auto bad = run_policy(s, arms[0], opt);
+  const auto fcfs = run_policy(s, arms[1], opt);
+  const auto safe = run_policy(s, arms[2], opt);
   EXPECT_GT(bad.metrics[2].mean(), 0.05);
   EXPECT_LT(std::abs(fcfs.metrics[2].mean()), 0.002);
   EXPECT_LT(std::abs(safe.metrics[2].mean()), 0.002);
@@ -386,9 +414,9 @@ TEST(Engine, NetworkCrnCutsDifferenceVarianceAtLeastTwofold) {
   opt.seed = 404;
   opt.max_replications = 48;
   const auto crn =
-      compare_network_policies(s, pair, opt, Pairing::kCommonRandomNumbers);
+      compare_policies(s, pair, opt, Pairing::kCommonRandomNumbers);
   const auto ind =
-      compare_network_policies(s, pair, opt, Pairing::kIndependentStreams);
+      compare_policies(s, pair, opt, Pairing::kIndependentStreams);
   const double var_crn = crn.diff[0][0].variance();
   const double var_ind = ind.diff[0][0].variance();
   ASSERT_GT(var_ind, 0.0);
@@ -405,7 +433,7 @@ TEST(Adapters, FluidReplicationTracksFluidLimit) {
   EngineOptions opt;
   opt.seed = 12;
   opt.max_replications = 24;
-  const auto res = run_fluid(s, priority, opt);
+  const auto res = run_policy(s, priority, opt);
   ASSERT_EQ(res.metrics.size(), metric_count(s));
   const auto fluid = queueing::fluid_drain(s.classes, s.initial, priority);
   // Cost integral close to the fluid prediction; path point mid-drain too.
@@ -414,7 +442,6 @@ TEST(Adapters, FluidReplicationTracksFluidLimit) {
   const auto mid = fluid.at(0.5 * fluid.drain_time);
   const std::size_t nc = s.classes.size();
   EXPECT_NEAR(res.metrics[1 + 4 * nc + 1].mean(), mid[1], 0.15 * (1.0 + mid[1]));
-  EXPECT_EQ(metric_names(s).size(), metric_count(s));
 }
 
 TEST(Adapters, TreeComparisonRunsUnderCrn) {
@@ -422,7 +449,7 @@ TEST(Adapters, TreeComparisonRunsUnderCrn) {
   EngineOptions opt;
   opt.seed = 8;
   opt.max_replications = 64;
-  const auto cmp = compare_tree_policies(
+  const auto cmp = compare_policies(
       s,
       {batch::TreePolicy::kHighestLevelFirst,
        batch::TreePolicy::kFifoEligible},
@@ -497,9 +524,9 @@ TEST(Adapters, RybkoStolyarExitPrioritySelfStarves) {
   EngineOptions opt;
   opt.seed = 33;
   opt.max_replications = 4;
-  const auto bad = run_network(s, arms[0], opt);
-  const auto fcfs = run_network(s, arms[1], opt);
-  const auto safe = run_network(s, arms[2], opt);
+  const auto bad = run_policy(s, arms[0], opt);
+  const auto fcfs = run_policy(s, arms[1], opt);
+  const auto safe = run_policy(s, arms[2], opt);
   EXPECT_GT(bad.metrics[2].mean(), 0.02);
   EXPECT_LT(std::abs(fcfs.metrics[2].mean()), 0.005);
   EXPECT_LT(std::abs(safe.metrics[2].mean()), 0.005);
@@ -522,8 +549,8 @@ TEST(Adapters, ReentrantLinePoliciesRunUnderCrn) {
   EngineOptions opt;
   opt.seed = 71;
   opt.max_replications = 8;
-  const auto cmp = compare_network_policies(s, arms, opt,
-                                            Pairing::kCommonRandomNumbers);
+  const auto cmp = compare_policies(s, arms, opt,
+                                    Pairing::kCommonRandomNumbers);
   EXPECT_EQ(cmp.replications, 8u);
   for (std::size_t k = 0; k < arms.size(); ++k)
     EXPECT_GT(cmp.arm[k][0].mean(), 0.0);
@@ -543,7 +570,7 @@ TEST(Engine, BurstyScenarioSequentialStoppingConverges) {
   opt.batch = 64;
   opt.max_replications = 1 << 14;
   opt.tracked = {0};
-  const auto res = run_queue(s, fcfs_arm(), opt);
+  const auto res = run_policy(s, fcfs_arm(), opt);
   ASSERT_TRUE(res.converged);
   const double hw = res.metrics[0].ci_halfwidth(opt.alpha);
   EXPECT_LE(hw, opt.rel_precision * std::abs(res.metrics[0].mean()) + 1e-12);
@@ -585,13 +612,72 @@ TEST(Adapters, RestlessAndBatchReplicationsRun) {
   EngineOptions opt;
   opt.seed = 9;
   opt.max_replications = 8;
-  const auto res = run_restless(quick, uniform, opt);
+  const auto res = run_policy(quick, uniform, opt);
   EXPECT_EQ(res.replications, 8u);
   EXPECT_GT(res.metrics[0].mean(), 0.0);
 
   const auto& qs = batch_scenario("quickstart-four-jobs");
   batch::Order order{0, 1, 2, 3};
-  const auto bres = run_batch(qs, order, opt);
+  const auto bres = run_policy(qs, order, opt);
   EXPECT_EQ(bres.replications, 8u);
   EXPECT_GT(bres.metrics[0].mean(), 0.0);
+}
+
+TEST(Adapters, RunPolicyIsArmZeroOfCompareInEveryFamily) {
+  QueueScenario queue = short_t9();
+  queue.horizon = 300.0;
+  queue.warmup = 30.0;
+  expect_run_matches_compare(queue, fcfs_arm(), cmu_arm(queue));
+
+  PollingScenario polling = polling_scenario("t11-two-queue");
+  polling.horizon = 300.0;
+  polling.warmup = 30.0;
+  expect_run_matches_compare(
+      polling, PollingPolicy{"exhaustive"},
+      PollingPolicy{"gated", queueing::PollingDiscipline::kGated});
+
+  RestlessScenario restless = restless_scenario("f3-decay");
+  restless.horizon = 200;
+  restless.burnin = 20;
+  const std::size_t states = restless.prototype.num_states();
+  std::vector<double> rising(states);
+  for (std::size_t x = 0; x < states; ++x) rising[x] = static_cast<double>(x);
+  expect_run_matches_compare(
+      restless,
+      restless::PriorityTable(restless.projects,
+                              std::vector<double>(states, 1.0)),
+      restless::PriorityTable(restless.projects, rising));
+
+  expect_run_matches_compare(batch_scenario("quickstart-four-jobs"),
+                             batch::Order{0, 1, 2, 3},
+                             batch::Order{3, 2, 1, 0});
+
+  NetworkScenario network = network_scenario("lu-kumar");
+  network.horizon = 300.0;
+  network.samples = 10;
+  const auto lk = lu_kumar_policies();
+  expect_run_matches_compare(network, lk[0], lk[1]);
+
+  MmmScenario mmm = mmm_scenario("parallel-pooling");
+  mmm.horizon = 300.0;
+  mmm.warmup = 30.0;
+  const auto cmu = queueing::cmu_order(mmm.classes);
+  expect_run_matches_compare(
+      mmm, MmmPolicy{"c-mu", cmu},
+      MmmPolicy{"reverse", {cmu.rbegin(), cmu.rend()}});
+
+  FluidScenario fluid = fluid_scenario("f7-fluid");
+  fluid.scale = 10.0;
+  const auto prio = queueing::fluid_cmu_priority(fluid.classes);
+  expect_run_matches_compare(
+      fluid, prio, std::vector<std::size_t>(prio.rbegin(), prio.rend()));
+
+  expect_run_matches_compare(intree_scenario(12),
+                             batch::TreePolicy::kHighestLevelFirst,
+                             batch::TreePolicy::kFifoEligible);
+
+  OnlineScenario online = online_scenario("online-identical");
+  online.horizon = 10.0;
+  const auto arms = online_policy_arms();
+  expect_run_matches_compare(online, arms[0], arms[3]);
 }

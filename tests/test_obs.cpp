@@ -171,22 +171,6 @@ TEST(RegistryTest, NonCreatingReadsOfAbsentNames) {
   EXPECT_EQ(obs::histogram_snapshot("test_never_registered").total, 0u);
 }
 
-TEST(RegistryTest, GaugeHoldsLastWrite) {
-  obs::Gauge& g = obs::gauge("test_reg_gauge");
-  g.set(2.5);
-  g.set(-7.0);
-  EXPECT_DOUBLE_EQ(g.value(), -7.0);
-}
-
-TEST(RegistryTest, SnapshotIsNameSorted) {
-  obs::counter("test_sorted_b").add();
-  obs::counter("test_sorted_a").add();
-  const obs::MetricsSnapshot s = obs::metrics_snapshot();
-  ASSERT_GE(s.counters.size(), 2u);
-  for (std::size_t i = 1; i < s.counters.size(); ++i)
-    EXPECT_LT(s.counters[i - 1].first, s.counters[i].first);
-}
-
 // ---- migrated process counters ---------------------------------------------
 
 TEST(MigrationTest, EventCounterBackedByRegistry) {

@@ -287,7 +287,7 @@ TEST(OnlineLowerBound, EveryPolicyRunStaysAboveTheBound) {
   opt.seed = 5;
   opt.max_replications = 48;
   for (const auto& policy : experiment::online_policy_arms()) {
-    const auto res = experiment::run_online(s, *policy, opt);
+    const auto res = experiment::run_policy(s, *policy, opt);
     EXPECT_GE(res.metrics[0].min(), 1.0 - 1e-9) << policy->name();
     EXPECT_GT(res.metrics[2].mean(), 0.0);  // lower bound is positive
   }
@@ -358,7 +358,7 @@ TEST(OnlinePolicies, GreedyBeatsRandomOnUnrelatedMachines) {
   experiment::EngineOptions opt;
   opt.seed = 404;
   opt.max_replications = 64;
-  const auto cmp = experiment::compare_online_policies(
+  const auto cmp = experiment::compare_policies(
       s, experiment::online_policy_arms(), opt,
       experiment::Pairing::kCommonRandomNumbers);
   // diff[2] = random − greedy on the ratio metric; the separation should be
@@ -378,9 +378,9 @@ TEST(OnlinePolicies, CrnCutsDifferenceVarianceOnOnlinePair) {
   experiment::EngineOptions opt;
   opt.seed = 2028;
   opt.max_replications = 96;
-  const auto crn = experiment::compare_online_policies(
+  const auto crn = experiment::compare_policies(
       s, arms, opt, experiment::Pairing::kCommonRandomNumbers);
-  const auto ind = experiment::compare_online_policies(
+  const auto ind = experiment::compare_policies(
       s, arms, opt, experiment::Pairing::kIndependentStreams);
   const double var_crn = crn.diff[0][1].variance();  // weighted completion
   const double var_ind = ind.diff[0][1].variance();
@@ -418,7 +418,7 @@ void expect_bit_identical(const RunningStat& a, const RunningStat& b,
 }
 
 TEST(OnlineCrn, SharedInstanceMatchesPerArmScoringBitForBit) {
-  // Under CRN compare_online_policies realizes each replication's instance
+  // Under CRN compare_policies realizes each replication's instance
   // and offline bound once and scores every arm against it. The reference
   // is the per-arm design: run_paired calling the one-policy replication
   // once per arm, each call regenerating the instance and re-solving the
@@ -444,7 +444,7 @@ TEST(OnlineCrn, SharedInstanceMatchesPerArmScoringBitForBit) {
   for (const OnlineScenario& s : cases) {
     for (const int threads : {1, 4}) {
       const auto shared = with_threads(threads, [&] {
-        return experiment::compare_online_policies(
+        return experiment::compare_policies(
             s, arms, opt, experiment::Pairing::kCommonRandomNumbers);
       });
       const auto per_arm = with_threads(threads, [&] {
@@ -488,7 +488,7 @@ TEST(OnlineCrn, OneLpSolvePerReplicationUnderCrn) {
   opt.max_replications = 20;
   const auto solves_during = [&](experiment::Pairing pairing) {
     const std::uint64_t before = obs::counter_value("lp_solves");
-    const auto res = experiment::compare_online_policies(s, arms, opt, pairing);
+    const auto res = experiment::compare_policies(s, arms, opt, pairing);
     EXPECT_EQ(res.replications, opt.max_replications);
     return obs::counter_value("lp_solves") - before;
   };

@@ -40,6 +40,17 @@ TEST(Whittle, ConstantAdvantageProjectIndexEqualsAdvantage) {
   EXPECT_NEAR(res.index[2], 0.7, 1e-5);
 }
 
+TEST(Whittle, TwoStateConstantDynamicsOrdersByAdvantage) {
+  RestlessProject p;
+  p.reward_passive = {0.0, 0.0};
+  p.reward_active = {0.6, 0.2};
+  p.trans_passive = {{0.7, 0.3}, {0.4, 0.6}};
+  p.trans_active = p.trans_passive;
+  const auto res = whittle_index(p);
+  ASSERT_TRUE(res.indexable);
+  EXPECT_GT(res.index[0], res.index[1]);
+}
+
 TEST(Whittle, PassiveSetGrowsWithSubsidy) {
   const auto p = constant_advantage_project();
   const auto lo = passive_set(p, 0.0);

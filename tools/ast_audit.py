@@ -15,11 +15,13 @@ ctest `ast_audit`:
         * carve a named substream:      p.stream(i)
         * forward it whole:             f(..., p, ...)
       Everything else -- drawing via `p.uniform(...)`/`p.below(...)`/...,
-      raw `p()` outside a bootstrap, aliasing -- is laundering: the draw
-      count silently couples the caller's stream to this function's control
-      flow, which is exactly how CRN pairings rot. Functions that ARE the
-      draw site by design (instance generators, the random-assignment
-      policy) declare it with an annotation carrying a mandatory reason:
+      handing it to a distribution's `d.sample(p)` / `d->sample(p)` (a
+      draw on `p`, not forwarding), raw `p()` outside a bootstrap,
+      aliasing -- is laundering: the draw count silently couples the
+      caller's stream to this function's control flow, which is exactly
+      how CRN pairings rot. Functions that ARE the draw site by design
+      (instance generators, the random-assignment policy) declare it with
+      an annotation carrying a mandatory reason:
 
           // rng-audit: sink(<why this function legitimately draws>)
 
@@ -206,6 +208,26 @@ def rng_param_functions(stripped: str):
                body_end, names)
 
 
+SAMPLE_CALLEE_RE = re.compile(r"(?:\.|->)\s*sample\s*$")
+
+
+def in_sample_call(text: str, pos: int) -> bool:
+    """True when the argument at `pos` sits in a `d.sample(...)` or
+    `d->sample(...)` call: the distribution draws on it directly."""
+    depth = 0
+    i = pos - 1
+    while i >= 0:
+        if text[i] in ")]}":
+            depth += 1
+        elif text[i] in "([{":
+            if depth == 0:
+                break
+            depth -= 1
+        i -= 1
+    return (i >= 0 and text[i] == "("
+            and SAMPLE_CALLEE_RE.search(text[max(0, i - 80):i]) is not None)
+
+
 def audit_rng_uses(stripped: str, region_start: int, region_end: int,
                    name: str):
     """Yield (pos, message) for disallowed uses of parameter `name`."""
@@ -239,6 +261,12 @@ def audit_rng_uses(stripped: str, region_start: int, region_end: int,
         else:
             prev = prev_nonspace(region, um.start() - 1)
             if prev in "(," and nxt in ",)":
+                if in_sample_call(region, um.start()):
+                    yield (region_start + um.start(),
+                           f"'{name}' draws directly via a distribution's "
+                           ".sample(); carve a substream for it "
+                           "(// rng-audit: sink(reason) if this function is "
+                           "the draw site by design)")
                 continue  # whole-argument forwarding
             yield (region_start + um.start(),
                    f"'{name}' aliased or used outside the substream "
@@ -507,6 +535,14 @@ def clang_check_tu(tree: dict, rel: str, raw: str) -> list:
                         "rng-laundering", rel, line,
                         f"raw '{name}()' outside an Rng bootstrap "
                         "(clang backend)"))
+            elif pk == "CXXMemberCallExpr" and (
+                    (parent.get("inner") or [{}])[0].get("name") == "sample"):
+                # d.sample(p) / d->sample(p): the first child is the callee
+                # MemberExpr, and the distribution draws on p.
+                out.append(Violation(
+                    "rng-laundering", rel, line,
+                    f"'{name}' draws directly via a distribution's "
+                    ".sample() (clang backend)"))
             elif pk in ("CallExpr", "CXXConstructExpr",
                         "CXXMemberCallExpr"):
                 pass  # whole-argument forwarding

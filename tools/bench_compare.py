@@ -24,8 +24,9 @@ existed are tolerated (treated as matching).
 
 With --exact the tool instead enforces bit-identical results: any numeric
 cell difference (at all), any verdict difference, or any row/column shape
-difference is fatal (exit 1). Wall-clock is ignored — it is the one field
-allowed to vary. This is the thread-count determinism gate: the same bench
+difference is fatal (exit 1). Wall-clock values are ignored — they are the
+one thing allowed to vary: wall_seconds, and the timing cells some tables
+print (see TIMING_COLUMN_RE). This is the thread-count determinism gate: the same bench
 run under OMP_NUM_THREADS=1 and =8 must produce byte-equal metrics, because
 the engine's fixed 16-replication merge cells make results a pure function
 of (seed, replication count). The deterministic-histogram tail keys
@@ -42,6 +43,7 @@ Stdlib only — no third-party dependencies.
 
 import argparse
 import json
+import re
 import sys
 
 
@@ -123,9 +125,32 @@ def compare_provenance(old, new):
     return warnings
 
 
+# --exact skips wall-clock-derived values, and nothing else. Two tables
+# print timings: F2's per-algorithm "... ms" columns and micro-LP's
+# "dense-ms", "rev-ms", "rev-us/it" and their ratio "speedup", whose value
+# the speedup verdict quotes as "(measured 6.8x)". The rule: a column is
+# wall-clock-derived when its header ends in a time unit (`ms`, `us/it`) or
+# is `speedup`; its cells are not compared, and a verdict's "(measured ...)"
+# clause is dropped before verdicts are compared (the pass flag still is).
+TIMING_COLUMN_RE = re.compile(r"(?:^|[ -])(?:ms|us/it)$|^speedup$")
+MEASURED_CLAUSE_RE = re.compile(r" \(measured [^)]*\)")
+
+
+def without_timing(doc):
+    """`doc` with its wall-clock-derived cells and verdict clauses removed."""
+    timing = {c for c, name in enumerate(doc.get("columns", []))
+              if TIMING_COLUMN_RE.search(name)}
+    rows = [[None if c in timing else cell for c, cell in enumerate(row)]
+            for row in doc["rows"]]
+    verdicts = [dict(v, what=MEASURED_CLAUSE_RE.sub("", v["what"]))
+                for v in doc["verdicts"]]
+    return dict(doc, rows=rows, verdicts=verdicts)
+
+
 def compare_exact(old, new):
-    """Byte-equality over everything except wall_seconds; the list of
+    """Byte-equality over everything except wall-clock values; the list of
     mismatch descriptions is empty iff the two runs are bit-identical."""
+    old, new = without_timing(old), without_timing(new)
     problems = []
     for key in ("bench", "columns", "arrival", "notes"):
         if old.get(key) != new.get(key):
@@ -192,7 +217,7 @@ def main():
                          "--time-tol")
     ap.add_argument("--exact", action="store_true",
                     help="determinism gate: fail on ANY difference except "
-                         "wall_seconds")
+                         "wall-clock values")
     args = ap.parse_args()
 
     old, new = load(args.old), load(args.new)

@@ -373,7 +373,7 @@ def rule_metrics_registry(root):
                     rel(root, path), line_of(code, m.start()),
                     "metrics-registry",
                     f"{what} — telemetry goes through the obs registry "
-                    f"(obs::counter/gauge/histogram), not ad-hoc atomics: "
+                    f"(obs::counter/histogram), not ad-hoc atomics: "
                     f"the registry is what bench JSON export and the "
                     f"determinism gate see"))
     return out

@@ -31,23 +31,44 @@ def read_fixture(name: str) -> str:
 
 
 class RngLaunderingFires(unittest.TestCase):
-    def test_fixture_fires_on_the_helper_only(self):
+    def test_fixture_fires_on_the_helpers_only(self):
         violations = run_rng(read_fixture("rng_laundering.cpp"))
-        self.assertEqual(len(violations), 1)
-        self.assertEqual(violations[0].rule, "rng-laundering")
+        self.assertEqual(len(violations), 2)
+        self.assertEqual({v.rule for v in violations}, {"rng-laundering"})
         self.assertIn(".uniform", violations[0].message)
+        self.assertIn(".sample", violations[1].message)
 
     def test_sink_annotation_with_reason_exempts(self):
         text = read_fixture("rng_laundering.cpp").replace(
             "double jitter_helper",
             "// rng-audit: sink(fixture sink test)\ndouble jitter_helper")
-        self.assertEqual(run_rng(text), [])
+        violations = run_rng(text)
+        self.assertEqual(len(violations), 1)
+        self.assertIn(".sample", violations[0].message)
 
     def test_sink_annotation_without_reason_does_not_exempt(self):
         text = read_fixture("rng_laundering.cpp").replace(
             "double jitter_helper",
             "// rng-audit: sink()\ndouble jitter_helper")
-        self.assertEqual(len(run_rng(text)), 1)
+        self.assertEqual(len(run_rng(text)), 2)
+
+    def test_distribution_sample_is_a_draw(self):
+        """d.sample(p) and d->sample(p) draw on p wherever p sits in the
+        argument list; forwarding p to any other member call stays clean."""
+        text = """
+            double dot(const Dist& d, Rng& rng) { return d.sample(rng); }
+            double arrow(const Dist* d, Rng& rng) { return d->sample(rng); }
+            double later(const Dist& d, Rng& rng) {
+              return d.sample(scale(2.0), rng);
+            }
+            double other(const Policy& p, Rng& rng) {
+              return p.assign(sample(1), rng);
+            }
+        """
+        violations = run_rng(text)
+        self.assertEqual(len(violations), 3)
+        for v in violations:
+            self.assertIn(".sample", v.message)
 
     def test_sink_annotation_on_simulate_is_rejected(self):
         """The annotation on an entry point is a finding of its own, and
@@ -58,8 +79,9 @@ class RngLaunderingFires(unittest.TestCase):
         self.assertEqual(len(entry), 1)
         self.assertIn("simulate_sink_entry", entry[0].message)
         body = run_rng(text, rel)
-        self.assertEqual(len(body), 1)
+        self.assertEqual(len(body), 2)
         self.assertIn(".uniform", body[0].message)
+        self.assertIn(".sample", body[1].message)
         helper = text.replace("simulate_sink_entry", "sink_helper")
         self.assertEqual(ast_audit.check_entry_sinks(
             rel, helper, lint.strip_code(helper)), [])
