@@ -15,8 +15,8 @@
 //   * unifying machinery: conservation laws, achievable regions, adaptive
 //     greedy indices;
 //   * observability: metrics registry (counters and deterministic
-//     latency histograms), compiled-out Chrome-trace spans, run
-//     provenance, structured progress sink;
+//     latency histograms) and run provenance — the two things every
+//     BENCH_*.json is stamped from;
 //   * the experiment engine: replication driver, CRN paired comparisons,
 //     sequential-precision stopping, scenario registry and adapters;
 //   * substrates: distributions, RNG, statistics, discrete-event kernel,

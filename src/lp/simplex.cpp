@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace stosched::lp {
@@ -182,7 +181,6 @@ std::string to_string(Solution::Status s) {
 }
 
 Solution solve(const Problem& p, std::size_t max_iterations) {
-  STOSCHED_TRACE_SPAN("lp", "lp_solve_dense");
   const std::size_t n = p.costs.size();
   const std::size_t m = p.constraints.size();
   STOSCHED_REQUIRE(n > 0, "LP needs at least one variable");

@@ -7,7 +7,7 @@
 namespace stosched::obs {
 namespace {
 
-// Leaked on purpose (as the obs/trace.cpp registry): instruments must
+// Leaked on purpose: instruments must
 // outlive every static destructor that might still bump a counter, and
 // atexit-ordered teardown across TUs is not worth reasoning about for a
 // telemetry registry. Instruments are keyed by name.

@@ -1,12 +1,11 @@
 // obs.hpp — umbrella for the observability subsystem.
 //
 // One include gives a consumer the whole telemetry surface: the metrics
-// registry (counters and deterministic latency histograms), the
-// compiled-out Chrome-trace macros and the library's clock, run
-// provenance, and the structured progress sink.
+// registry (counters and deterministic latency histograms) and run
+// provenance. A run explains itself end to end through the BENCH_*.json
+// these are stamped into, and layer by layer through perfbench's
+// calibrated `--trace 1` run; the library itself reads no clock.
 #pragma once
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "queueing/station.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
@@ -27,7 +26,6 @@ double traffic_intensity(const std::vector<ClassSpec>& classes) {
 SimResult simulate_mg1(const std::vector<ClassSpec>& classes,
                        const SimOptions& opt, Rng& rng) {
   STOSCHED_EXPECTS(!classes.empty(), "simulate_mg1 needs at least one class");
-  STOSCHED_TRACE_SPAN("sim", "simulate_mg1");
   const std::size_t n = classes.size();
   detail::StationSpec spec =
       detail::class_station(classes, opt.horizon, opt.warmup);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "queueing/station.hpp"
 #include "util/check.hpp"
 
@@ -70,7 +69,6 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
                               std::size_t samples, Rng& rng) {
   config.validate();
   STOSCHED_REQUIRE(horizon > 0.0 && samples >= 2, "need a horizon and samples");
-  STOSCHED_TRACE_SPAN("sim", "simulate_network");
   detail::StationSpec spec;
   for (const auto& c : config.classes) {
     spec.arrival.push_back(effective_arrival(c));

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "queueing/mg1_analytic.hpp"
 #include "queueing/station.hpp"
 #include "util/check.hpp"
@@ -14,7 +13,6 @@ MmmResult simulate_mmm(const std::vector<ClassSpec>& classes,
                        const std::vector<std::size_t>& priority,
                        double horizon, double warmup, Rng& rng) {
   STOSCHED_REQUIRE(servers >= 1, "need at least one server");
-  STOSCHED_TRACE_SPAN("sim", "simulate_mmm");
   detail::StationSpec spec = detail::class_station(classes, horizon, warmup);
   spec.servers = servers;
   spec.priority = {priority};

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "obs/trace.hpp"
 #include "queueing/station.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
@@ -126,7 +125,6 @@ PollingResult simulate_polling(const std::vector<ClassSpec>& classes,
   STOSCHED_EXPECTS(!classes.empty(),
                    "simulate_polling needs at least one queue");
   STOSCHED_REQUIRE(options.switchover != nullptr, "switchover law required");
-  STOSCHED_TRACE_SPAN("sim", "simulate_polling");
   PollingSim sim(classes, options, rng);
   sim.run();
   PollingResult res;

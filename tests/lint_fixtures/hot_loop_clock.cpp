@@ -1,6 +1,6 @@
 // Deliberately-bad fixture for the hot-loop-clock rule: direct clock reads
-// inside the hot paths (src/des, src/queueing, src/lp), where timing must
-// only enter through obs/trace's compiled-out STOSCHED_TRACE_* macros.
+// inside the hot paths (src/des, src/queueing, src/lp), which read no clock
+// at all — timing lives in bench/ and perfbench/.
 #include <chrono>
 
 #include <ctime>

@@ -23,6 +23,13 @@ void exp_body(std::size_t, Rng& rng, std::span<double> out) {
   out[0] = rng.exponential(1.0);
 }
 
+/// Metric 0 draws exactly as exp_body; metric 1 is zero-mean noise, whose
+/// CI half-width never falls within a fraction of its |mean|.
+void exp_and_noise_body(std::size_t rep, Rng& rng, std::span<double> out) {
+  exp_body(rep, rng, out);
+  out[1] = rng.uniform() - 0.5;
+}
+
 /// A short-horizon copy of the registered T9 scenario (tests trade CI width
 /// for runtime; the workload itself comes from the registry).
 QueueScenario short_t9() {
@@ -134,6 +141,33 @@ TEST(Engine, StoppingReportsMissWhenCapTooSmall) {
   const auto res = run(opt, 1, exp_body);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.replications, 512u);
+}
+
+TEST(Engine, TrackedMetricsAloneDecideTheStop) {
+  EngineOptions opt;
+  opt.seed = 7;
+  opt.rel_precision = 0.05;
+  opt.max_replications = 1 << 14;
+  const auto one = run(opt, 1, exp_body);
+  ASSERT_TRUE(one.converged);
+  ASSERT_LT(one.replications, opt.max_replications);
+
+  // Watching metric 0 only: the noise column is ignored, so the run stops
+  // exactly where the one-metric run does.
+  opt.tracked = {0};
+  const auto watched = run(opt, 2, exp_and_noise_body);
+  EXPECT_TRUE(watched.converged);
+  EXPECT_EQ(watched.replications, one.replications);
+  EXPECT_EQ(watched.metrics[0].mean(), one.metrics[0].mean());
+
+  // Empty = every metric, and the noise column never gets precise.
+  opt.tracked.clear();
+  const auto all = run(opt, 2, exp_and_noise_body);
+  EXPECT_FALSE(all.converged);
+  EXPECT_EQ(all.replications, opt.max_replications);
+
+  opt.tracked = {2};
+  EXPECT_THROW(run(opt, 2, exp_and_noise_body), std::invalid_argument);
 }
 
 TEST(Engine, PairedDiffMatchesArmMeans) {

@@ -1,6 +1,6 @@
 // test_obs.cpp — the observability subsystem (src/obs/).
 //
-// Four fronts:
+// Three fronts:
 //   * histogram determinism: the bucket of a value is exact (boundary
 //     values land where the layout says), and shared-histogram merges are
 //     commutative — the snapshot after an OpenMP fan-out is bit-identical
@@ -8,27 +8,20 @@
 //   * registry semantics: find-or-create stability, non-creating reads,
 //     and the migrated process counters ("events", "lp_solves",
 //     "lp_iterations") staying in lockstep with their legacy wrappers;
-//   * trace collector: the emitted JSON is a valid Chrome trace_event
-//     array (ph/ts/pid/tid present, multiple thread lanes), in every
-//     build — only the macros are compile-time gated;
-//   * compiled-out mode: with STOSCHED_TRACE off, the macros evaluate
-//     NOTHING (the ghost evaluation-count pattern from test_contract.cpp).
+//   * provenance: every build fact is populated, and the contracts flag
+//     says whether this build armed them.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "des/event_queue.hpp"
 #include "experiment/engine.hpp"
 #include "lp/simplex.hpp"
-#include "obs/progress.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
+#include "util/contract.hpp"
 
 namespace stosched {
 namespace {
@@ -193,117 +186,6 @@ TEST(MigrationTest, LpCountersBackedByRegistry) {
   EXPECT_EQ(obs::counter_value("lp_iterations"), after.iterations);
 }
 
-// ---- trace collector -------------------------------------------------------
-
-TEST(TraceTest, EmitsValidChromeTraceJson) {
-  obs::trace::clear();
-  obs::trace::record_complete("cat_a", "span_one", 1000, 2500);
-  obs::trace::record_instant("cat_a", "marker");
-  obs::trace::record_counter("cat_b", "level", 3.5);
-  std::thread worker(
-      [] { obs::trace::record_complete("cat_a", "span_two", 2000, 100); });
-  worker.join();
-  EXPECT_EQ(obs::trace::event_count(), 4u);
-
-  std::ostringstream os;
-  obs::trace::write(os);
-  const std::string json = os.str();
-
-  // Array shape and the required Chrome trace_event fields.
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"span_one\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"cat_b\""), std::string::npos);
-  EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos);  // 1000 ns = 1 µs
-  EXPECT_NE(json.find("\"dur\":2.500"), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"value\":3.5}"), std::string::npos);
-
-  // The worker thread got its own lane.
-  EXPECT_NE(json.find("\"tid\":0"), std::string::npos);
-  const std::size_t tid_pos = json.find("\"tid\":0");
-  EXPECT_NE(json.find("\"tid\":", tid_pos + 7), std::string::npos);
-
-  // Balanced brackets/braces — cheap well-formedness proxy (names here
-  // contain no braces).
-  long depth = 0;
-  for (const char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    EXPECT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-  obs::trace::clear();
-}
-
-TEST(TraceTest, ClearDropsEverything) {
-  obs::trace::clear();
-  obs::trace::record_instant("cat", "x");
-  EXPECT_EQ(obs::trace::event_count(), 1u);
-  obs::trace::clear();
-  EXPECT_EQ(obs::trace::event_count(), 0u);
-  std::ostringstream os;
-  obs::trace::write(os);
-  EXPECT_EQ(os.str(), "[\n]\n");
-}
-
-TEST(TraceTest, NowNsIsMonotonic) {
-  const std::uint64_t a = obs::trace::now_ns();
-  const std::uint64_t b = obs::trace::now_ns();
-  EXPECT_LE(a, b);
-}
-
-TEST(TraceTest, SpanRecordsOnDestruction) {
-  obs::trace::clear();
-  {
-    obs::trace::Span span("cat", "scoped");
-    EXPECT_EQ(obs::trace::event_count(), 0u);
-  }
-  EXPECT_EQ(obs::trace::event_count(), 1u);
-  obs::trace::clear();
-}
-
-// ---- compiled-out macros ---------------------------------------------------
-
-TEST(TraceMacrosTest, ArgumentsEvaluatedExactlyWhenArmed) {
-  // Ghost evaluation count (the test_contract.cpp pattern): with
-  // STOSCHED_TRACE off the value expression must never run.
-  obs::trace::clear();
-  int evaluations = 0;
-  STOSCHED_TRACE_COUNTER("test", "ghost", (++evaluations, 1.0));
-  EXPECT_EQ(evaluations, STOSCHED_TRACE_ACTIVE ? 1 : 0);
-}
-
-TEST(TraceMacrosTest, SpanAndInstantCompiledOutWhenInactive) {
-  obs::trace::clear();
-  {
-    STOSCHED_TRACE_SPAN("test", "maybe_span");
-    STOSCHED_TRACE_INSTANT("test", "maybe_instant");
-  }
-  EXPECT_EQ(obs::trace::event_count(),
-            STOSCHED_TRACE_ACTIVE ? 2u : 0u);
-  obs::trace::clear();
-}
-
-// ---- progress sink ---------------------------------------------------------
-
-TEST(ProgressTest, LineProtocolShape) {
-  const std::string line = obs::format_progress_line(
-      "ci", 7, {{"metric", 2.0}, {"halfwidth", 0.125}});
-  EXPECT_EQ(line,
-            "{\"event\":\"ci\",\"seq\":7,\"metric\":2,\"halfwidth\":0.125}");
-}
-
-TEST(ProgressTest, DisabledWithoutEnvVar) {
-  // ctest never sets STOSCHED_PROGRESS; emitting must be a safe no-op.
-  if (std::getenv("STOSCHED_PROGRESS") == nullptr) {
-    EXPECT_FALSE(obs::progress_enabled());
-    obs::progress_line("noop", {{"x", 1.0}});
-  }
-}
-
 // ---- provenance ------------------------------------------------------------
 
 TEST(ProvenanceTest, BuildFactsArePopulated) {
@@ -313,7 +195,8 @@ TEST(ProvenanceTest, BuildFactsArePopulated) {
   EXPECT_FALSE(b.build_type.empty());
   EXPECT_FALSE(b.sanitizers.empty());  // "none" when off
   EXPECT_GE(b.omp_max_threads, 1);
-  EXPECT_EQ(b.trace, STOSCHED_TRACE_ACTIVE != 0);
+  EXPECT_EQ(b.contracts, STOSCHED_CONTRACTS_ACTIVE != 0);
+  EXPECT_FALSE(b.trace);  // no trace layer exists
 }
 
 }  // namespace

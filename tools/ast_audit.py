@@ -71,8 +71,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lint_stosched  # noqa: E402  (shared strip_code)
-from lint_stosched import line_of, match_brace, match_paren  # noqa: E402
+from cxx_text import (  # noqa: E402
+    line_of, match_angle, match_brace, match_paren, next_nonspace,
+    prev_nonspace, strip_code)
 
 RNG_SCOPE_EXCLUDE = ("util", "dist")  # the sampling layer IS the draw site
 ENTRY_SCOPE = ("queueing", "batch", "online")
@@ -98,32 +99,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-def match_angle(text: str, start: int) -> int:
-    """Index just past the `>` matching the `<` at start, or -1."""
-    depth = 0
-    for i in range(start, len(text)):
-        c = text[i]
-        if c == "<":
-            depth += 1
-        elif c == ">":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
-
-
-def prev_nonspace(text: str, i: int) -> str:
-    while i >= 0 and text[i].isspace():
-        i -= 1
-    return text[i] if i >= 0 else ""
-
-
-def next_nonspace(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +594,7 @@ def run_textual(root: Path, files: list) -> list:
     out = []
     for rel in files:
         raw = (root / rel).read_text(encoding="utf-8")
-        stripped = lint_stosched.strip_code(raw)
+        stripped = strip_code(raw)
         if in_rng_scope(rel):
             out.extend(check_rng_laundering(rel, raw, stripped))
             out.extend(check_entry_sinks(rel, raw, stripped))
@@ -648,7 +623,7 @@ def main(argv=None) -> int:
         # macro-shaped: always checked textually.
         for rel in files:
             raw = (root / rel).read_text(encoding="utf-8")
-            stripped = lint_stosched.strip_code(raw)
+            stripped = strip_code(raw)
             if in_entry_scope(rel):
                 violations.extend(check_entry_contract(rel, stripped))
             if in_rng_scope(rel):

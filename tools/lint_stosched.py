@@ -23,8 +23,8 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         gettimeofday, *_clock) in src/des, src/queueing or
                         src/lp: the DES event loop and the simplex pivot
                         loop are the multipliers on every experiment, so
-                        timing enters them only through the compiled-out
-                        STOSCHED_TRACE_* macros (obs/trace).
+                        they read no clock at all; timing lives in bench/
+                        and perfbench/.
   cmake-coverage        Every src/**/*.cpp is listed in the CMake library
                         sources and every tests/test_*.cpp in STOSCHED_TESTS
                         — an unlisted translation unit silently never builds.
@@ -49,6 +49,8 @@ import re
 import sys
 from pathlib import Path
 
+from cxx_text import line_of, strip_code
+
 
 class Violation:
     def __init__(self, path, line, rule, message):
@@ -59,89 +61,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-# ---------------------------------------------------------------------------
-# C++ text handling (tools/ast_audit.py imports these helpers too)
-# ---------------------------------------------------------------------------
-
-# A literal can open with an encoding prefix (u8, u, U, L), an R for raw
-# strings, or bare quotes. The prefix is only a prefix when the character
-# before it is not part of an identifier — `FOO_R"(x)"` is the identifier
-# FOO_R followed by an ordinary string, not a raw string.
-_LIT_START_RE = re.compile(r'(?:u8|[uUL])?(R?)(["\'])')
-_RAW_OPEN_RE = re.compile(r'(?:u8|[uUL])?R"([^\s()\\]{0,16})\(')
-
-
-def strip_code(text):
-    """Blank out comments and string/char literals, preserving newlines (and
-    therefore line numbers and offsets). Handles //, /* */, "..." and '...'
-    with escapes, encoding prefixes (u8/u/U/L), (prefixed) raw strings
-    R"delim(...)delim", and digit separators (1'000'000 opens no char
-    literal)."""
-    out = list(text)
-    i, n = 0, len(text)
-
-    def blank(lo, hi):
-        for k in range(lo, hi):
-            if out[k] != "\n":
-                out[k] = " "
-
-    def skip_quoted(start, quote):
-        """Blank a non-raw literal body whose opening quote is at `start`;
-        return the index just past the closing quote."""
-        j = start + 1
-        while j < n and text[j] != quote:
-            j += 2 if text[j] == "\\" else 1
-        blank(start + 1, min(j, n))
-        return min(j, n) + 1
-
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        prev = text[i - 1] if i else ""
-        ident_prev = prev.isalnum() or prev == "_"
-        if c == "/" and nxt == "/":
-            end = text.find("\n", i)
-            end = n if end == -1 else end
-            blank(i, end)
-            i = end
-        elif c == "/" and nxt == "*":
-            end = text.find("*/", i + 2)
-            end = n if end == -1 else end + 2
-            blank(i, end)
-            i = end
-        elif c in 'uULR\'"' and not ident_prev:
-            m = _LIT_START_RE.match(text, i)
-            if m is None:
-                i += 1
-                continue
-            if m.group(1):
-                raw = _RAW_OPEN_RE.match(text, i)
-                if raw:
-                    close = ")" + raw.group(1) + '"'
-                    end = text.find(close, raw.end())
-                    end = n if end == -1 else end + len(close)
-                    blank(i, end)
-                    i = end
-                    continue
-                # `R"` with a malformed delimiter: lex as an ordinary string.
-            i = skip_quoted(m.end() - 1, m.group(2))
-        elif c == '"':
-            # Quote glued to an identifier (macro juxtaposition, operator""):
-            # still an ordinary string boundary.
-            i = skip_quoted(i, '"')
-        elif c == "'":
-            # Glued to an identifier/digit: a digit separator (1'000'000),
-            # not the start of a char literal.
-            i += 1
-        else:
-            i += 1
-    return "".join(out)
-
-
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
 
 
 def read(path):
@@ -164,33 +83,6 @@ def cxx_files(root, *subdirs, suffixes=(".cpp", ".hpp")):
 
 def rel(root, path):
     return path.relative_to(root).as_posix()
-
-
-def match_paren(text, open_idx):
-    """Index of the char after the parenthesis group opening at open_idx, or
-    -1. `text` must already be comment/string-stripped."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
-
-
-def match_brace(text, open_idx):
-    """Index of the char after the brace block opening at open_idx, or -1."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +201,10 @@ HOT_LOOP_CLOCK_PATTERNS = [
 
 def rule_hot_loop_clock(root):
     """No direct clock reads in the hot paths (src/des, src/queueing,
-    src/lp). Timing enters only through obs/trace's STOSCHED_TRACE_* macros,
-    which compile out unless STOSCHED_TRACE is on — a stray
-    steady_clock::now() in an event loop or a simplex pivot loop costs
-    ~20ns per call in every build. Benches time LP solves from bench/,
-    outside the scanned tree."""
+    src/lp). Hot paths read no clock at all — a stray steady_clock::now()
+    in an event loop or a simplex pivot loop costs ~20ns per call in every
+    build. Timing lives in bench/ and perfbench/, outside the scanned
+    tree, which time whole calls from the outside."""
     out = []
     for path in cxx_files(root, "src/des", "src/queueing", "src/lp"):
         code = strip_code(read(path))
@@ -322,8 +213,8 @@ def rule_hot_loop_clock(root):
                 out.append(Violation(
                     rel(root, path), line_of(code, m.start()),
                     "hot-loop-clock",
-                    f"{what} in a hot path — time only through the "
-                    f"STOSCHED_TRACE_* macros (compiled out by default)"))
+                    f"{what} in a hot path — hot paths read no clock; "
+                    f"time from bench/ or perfbench/"))
     return out
 
 

@@ -15,7 +15,7 @@ import unittest
 from pathlib import Path
 
 import ast_audit
-import lint_stosched as lint
+import cxx_text as lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
