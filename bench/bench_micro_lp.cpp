@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "online/lower_bound.hpp"
 #include "online/model.hpp"
 #include "restless/relaxation.hpp"
 #include "restless/restless_project.hpp"
+#include "support/dense_simplex.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -124,7 +124,7 @@ int main() {
 
     lp::Solution revised_sol;
     const double rev_ms =
-        solve_ms(reps, [&] { revised_sol = lp::solve_revised(p); });
+        solve_ms(reps, [&] { revised_sol = lp::solve(p); });
     if (!revised_sol.optimal()) {
       table.add_row({shape.label, std::to_string(rows), std::to_string(cols),
                      "-", "-", "-", "-", "-", "-"});
@@ -135,8 +135,8 @@ int main() {
     std::string dense_cell = "-", speedup_cell = "-";
     if (shape.run_dense) {
       lp::Solution dense_sol;
-      const double dense_ms = solve_ms(
-          reps, [&] { dense_sol = lp::solve(p, lp::Solver::kDense); });
+      const double dense_ms =
+          solve_ms(reps, [&] { dense_sol = lp::solve_dense(p); });
       const double scale = 1.0 + std::abs(dense_sol.objective);
       objectives_agree =
           objectives_agree && dense_sol.optimal() &&
@@ -155,11 +155,11 @@ int main() {
     // scaling would leave the old basis exactly optimal — zero pivots), cold
     // vs from the optimal basis of the undrifted solve.
     lp::Basis basis;
-    lp::solve_revised(p, basis);
+    lp::solve(p, basis);
     lp::Problem drifted = p;
     for (auto& c : drifted.constraints) c.rhs *= rng.uniform(0.97, 1.06);
-    const lp::Solution cold = lp::solve_revised(drifted);
-    const lp::Solution warm = lp::solve_revised(drifted, basis);
+    const lp::Solution cold = lp::solve(drifted);
+    const lp::Solution warm = lp::solve(drifted, basis);
     const double wscale = 1.0 + std::abs(cold.objective);
     warm_cheaper = warm_cheaper && cold.optimal() && warm.optimal() &&
                    std::abs(warm.objective - cold.objective) <=

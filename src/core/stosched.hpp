@@ -38,8 +38,8 @@
 #include "des/fifo_arena.hpp"
 
 #include "lp/adaptive_greedy.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "lp/sparse.hpp"
 
 #include "mdp/mdp.hpp"
 #include "mdp/solve.hpp"

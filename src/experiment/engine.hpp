@@ -181,6 +181,8 @@ std::pair<std::size_t, bool> drive(const EngineOptions& opt,
 template <class Body>
 EngineResult run(const EngineOptions& opt, std::size_t dims, Body&& body) {
   STOSCHED_REQUIRE(dims > 0, "need at least one metric dimension");
+  for (const std::size_t d : opt.tracked)
+    STOSCHED_REQUIRE(d < dims, "tracked metric index out of range");
   const Rng master(opt.seed);
   EngineResult res;
   res.metrics.assign(dims, RunningStat{});
@@ -229,6 +231,8 @@ PairedResult run_paired_replications(const EngineOptions& opt,
                                      Body&& body) {
   STOSCHED_REQUIRE(arms >= 2, "a paired comparison needs at least two arms");
   STOSCHED_REQUIRE(dims > 0, "need at least one metric dimension");
+  for (const std::size_t d : opt.tracked)
+    STOSCHED_REQUIRE(d < dims, "tracked metric index out of range");
   const Rng master(opt.seed);
   PairedResult res;
   res.arm.assign(arms, std::vector<RunningStat>(dims));

@@ -1,9 +1,10 @@
-#include "lp/revised_simplex.hpp"
+#include "lp/simplex.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "lp/sparse.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
 
@@ -511,8 +512,8 @@ struct Engine {
   }
 };
 
-Solution solve_revised_impl(const Problem& p, Basis* warm,
-                            std::size_t max_iterations) {
+Solution solve_impl(const Problem& p, Basis* warm,
+                    std::size_t max_iterations) {
   Engine e;
   e.build(p);
   if (warm == nullptr || !warm->matches(e.n, e.m) || !e.load_basis(*warm))
@@ -537,18 +538,16 @@ bool Basis::matches(std::size_t n_vars, std::size_t n_rows) const {
   return true;
 }
 
-Solution solve_revised(const Problem& p, std::size_t max_iterations) {
-  return solve_revised_impl(p, nullptr, max_iterations);
+Solution solve(const Problem& p, std::size_t max_iterations) {
+  return solve_impl(p, nullptr, max_iterations);
 }
 
-Solution solve_revised(const Problem& p, Basis& basis,
-                       std::size_t max_iterations) {
-  return solve_revised_impl(p, &basis, max_iterations);
+Solution solve(const Problem& p, Basis& basis, std::size_t max_iterations) {
+  return solve_impl(p, &basis, max_iterations);
 }
 
-Solution solve(const Problem& p, Solver solver, std::size_t max_iterations) {
-  return solver == Solver::kDense ? solve(p, max_iterations)
-                                  : solve_revised(p, max_iterations);
+Solution solve(const Problem& p, Solver, std::size_t max_iterations) {
+  return solve(p, max_iterations);
 }
 
 }  // namespace stosched::lp

@@ -1,8 +1,8 @@
-// tolerances.hpp — the numeric policy shared by both LP solvers.
+// tolerances.hpp — the numeric policy of the LP engine and its reference.
 //
-// The dense tableau (simplex.cpp) and the sparse revised simplex
-// (revised_simplex.cpp) are differential-tested against each other, so they
-// must agree on what "zero" means: a pivot below kPivot is treated as
+// The sparse revised simplex (revised_simplex.cpp) is differential-tested
+// against the dense tableau reference (tests/support/dense_simplex.cpp), so
+// they must agree on what "zero" means: a pivot below kPivot is treated as
 // structural zero, a basic value within kFeas of its bound is feasible, and
 // ratio-test ties within kRatioTie are broken by Bland-friendly smallest
 // index. Keeping the constants here (instead of per-TU copies) is what makes
@@ -21,7 +21,7 @@ inline constexpr double kPivot = 1e-9;
 inline constexpr double kFeas = 1e-7;
 
 /// Ratio-test ties within this width are broken by smallest basis index —
-/// the lexicographic-ish rule both solvers share for anti-cycling.
+/// the lexicographic-ish rule both engines share for anti-cycling.
 inline constexpr double kRatioTie = 1e-12;
 
 /// A pivot step shorter than this counts as degenerate; a streak of them

@@ -15,6 +15,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Geometric growth of the interval-indexed LP's time grid: τ_t = 2·τ_{t-1}.
+constexpr double kIntervalRatio = 2.0;
+
 /// Best-machine processing times q_j = min_i p_ij of the realized instance.
 std::vector<double> best_proc_times(const OnlineInstance& inst,
                                     const Environment& env) {
@@ -101,11 +104,10 @@ bool trivial_instance(const OnlineInstance& inst, const Environment& env) {
 }
 
 /// The interval-indexed LP bound (0 if skipped or the solve failed).
-double interval_lp_bound(const OnlineInstance& inst, const Environment& env,
-                         const OfflineBoundOptions& opt) {
+double interval_lp_bound(const OnlineInstance& inst, const Environment& env) {
   if (trivial_instance(inst, env)) return 0.0;
-  const lp::Problem prob = interval_indexed_lp(inst, env, opt);
-  const lp::Solution sol = lp::solve(prob, opt.lp_solver);
+  const lp::Problem prob = interval_indexed_lp(inst, env);
+  const lp::Solution sol = lp::solve(prob);
   return sol.optimal() ? sol.objective : 0.0;
 }
 
@@ -113,11 +115,9 @@ double interval_lp_bound(const OnlineInstance& inst, const Environment& env,
 
 lp::Problem interval_indexed_lp(const OnlineInstance& inst,
                                 const Environment& env,
-                                const OfflineBoundOptions& opt) {
+                                const OfflineBoundOptions&) {
   const std::size_t n = inst.size();
   const std::size_t m = env.machines();
-  STOSCHED_REQUIRE(opt.interval_ratio > 1.0,
-                   "LP interval ratio must exceed 1");
   const std::vector<double> q = best_proc_times(inst, env);
 
   // Geometric grid 0 = τ_0 < τ_1 < ... < τ_T covering every completion an
@@ -137,7 +137,7 @@ lp::Problem interval_indexed_lp(const OnlineInstance& inst,
                    "interval-indexed LP needs work or releases");
   if (!std::isfinite(smallest)) smallest = upper;
   std::vector<double> tau{0.0, smallest};
-  while (tau.back() < upper) tau.push_back(tau.back() * opt.interval_ratio);
+  while (tau.back() < upper) tau.push_back(tau.back() * kIntervalRatio);
   const std::size_t T = tau.size() - 1;  // intervals (τ_{t-1}, τ_t]
 
   // Variable layout: C_0..C_{n-1}, then x_{ijt} for every allowed triple
@@ -235,7 +235,7 @@ OfflineBound offline_lower_bound(const OnlineInstance& inst,
     bound.busy_bound += inst[j].weight * (busy[j] + q[j] / (2.0 * m));
 
   if (opt.use_lp && inst.size() <= opt.lp_job_cap)
-    bound.lp_bound = interval_lp_bound(inst, env, opt);
+    bound.lp_bound = interval_lp_bound(inst, env);
 
   bound.value =
       std::max({bound.release_bound, bound.busy_bound, bound.lp_bound});

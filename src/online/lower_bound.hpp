@@ -23,7 +23,7 @@
 //     placement, and C_j >= max(Σ x τ_{t-1}, r_j + Σ x p_ij). The instance
 //     is polynomially sized and very sparse (a handful of nonzeros per
 //     row), so it is built with sparse rows and solved by the revised
-//     simplex (lp::Solver::kRevised) by default — hundreds of jobs are
+//     simplex (lp::solve) — hundreds of jobs are
 //     routine, and the job cap is only a guard against accidentally
 //     gigantic instances. The combinatorial bounds still carry the big
 //     sweeps (the LP costs a solve per replication); the LP tightens the
@@ -40,10 +40,8 @@ namespace stosched::online {
 struct OfflineBoundOptions {
   bool use_lp = false;          ///< also solve the interval-indexed LP
   std::size_t lp_job_cap = 512; ///< skip the LP above this many jobs
-  double interval_ratio = 2.0;  ///< geometric growth of the LP time grid
-  /// Engine for the LP solve. kRevised is the default production path;
-  /// kDense remains selectable so tests can differential the two on the
-  /// real bound (tests/test_online.cpp does).
+  /// Always lp::Solver::kRevised, the one engine; nothing here reads it.
+  /// Kept only for perfbench, which passes it to lp::solve.
   lp::Solver lp_solver = lp::Solver::kRevised;
 };
 
@@ -63,10 +61,12 @@ OfflineBound offline_lower_bound(const OnlineInstance& inst,
                                  const OfflineBoundOptions& opt = {});
 
 /// The HSSW interval-indexed LP itself (minimize Σ w_j C_j, variables
-/// C_0..C_{n-1} then the placement fractions x_ijt), exposed so benches and
-/// tests can generate real bound-shaped sparse instances without duplicating
-/// the construction. Requires a non-degenerate instance: at least one job
-/// with positive best-machine processing time or positive release date.
+/// C_0..C_{n-1} then the placement fractions x_ijt, on a time grid that
+/// doubles per interval), exposed so benches and tests can generate real
+/// bound-shaped sparse instances without duplicating the construction.
+/// Requires a non-degenerate instance: at least one job with positive
+/// best-machine processing time or positive release date. `opt` is not
+/// read; the parameter stays for perfbench's call.
 lp::Problem interval_indexed_lp(const OnlineInstance& inst,
                                 const Environment& env,
                                 const OfflineBoundOptions& opt = {});

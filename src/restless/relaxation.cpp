@@ -97,7 +97,7 @@ RelaxationResult solve_lp(const std::vector<const RestlessProject*>& projects,
   }
 
   const lp::Problem problem = build_lp(projects, activity_rhs);
-  const auto sol = lp::solve(problem, lp::Solver::kRevised);
+  const auto sol = lp::solve(problem);
   STOSCHED_REQUIRE(sol.optimal(), "relaxation LP did not solve: " +
                                       lp::to_string(sol.status));
 

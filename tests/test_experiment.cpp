@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
@@ -166,8 +167,23 @@ TEST(Engine, TrackedMetricsAloneDecideTheStop) {
   EXPECT_FALSE(all.converged);
   EXPECT_EQ(all.replications, opt.max_replications);
 
+  // Out-of-range indices fail before any replication, also where the
+  // stopping rule never reaches them: behind the never-precise noise
+  // column, in a fixed-length run and in a paired run.
+  std::atomic<std::size_t> calls{0};
+  const auto counted = [&](std::size_t r, Rng& rng, std::span<double> out) {
+    ++calls;
+    exp_and_noise_body(r, rng, out);
+  };
   opt.tracked = {2};
-  EXPECT_THROW(run(opt, 2, exp_and_noise_body), std::invalid_argument);
+  EXPECT_THROW(run(opt, 2, counted), std::invalid_argument);
+  opt.tracked = {1, 5};
+  EXPECT_THROW(run(opt, 2, counted), std::invalid_argument);
+  opt.rel_precision = 0.0;
+  EXPECT_THROW(run(opt, 2, counted), std::invalid_argument);
+  EXPECT_THROW(run_paired_replications(opt, 2, 2, counted),
+               std::invalid_argument);
+  EXPECT_EQ(calls.load(), 0u);
 }
 
 TEST(Engine, PairedDiffMatchesArmMeans) {

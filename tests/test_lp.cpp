@@ -1,18 +1,33 @@
 // Tests for lp/: textbook LPs with known optima, infeasible/unbounded
 // detection, duals and reduced costs, and randomized primal-dual
-// consistency checks (weak duality + complementary slackness).
+// consistency checks (weak duality + complementary slackness). Every case
+// runs on both engines: lp::solve and the dense tableau reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "lp/simplex.hpp"
+#include "support/dense_simplex.hpp"
 #include "util/rng.hpp"
 
 namespace stosched::lp {
 namespace {
 
-TEST(Simplex, TextbookMaximize) {
+/// An LP engine under test.
+using Engine = Solution (*)(const Problem&);
+constexpr Engine kRevised = [](const Problem& p) { return solve(p); };
+constexpr Engine kDense = [](const Problem& p) { return solve_dense(p); };
+
+/// Defines `name` once over an engine `solve` and runs it as
+/// Simplex.<name> on lp::solve and DenseSimplex.<name> on the reference.
+#define ENGINE_TEST(name)                    \
+  void name(Engine solve);                   \
+  TEST(Simplex, name) { name(kRevised); }    \
+  TEST(DenseSimplex, name) { name(kDense); } \
+  void name(Engine solve)
+
+ENGINE_TEST(TextbookMaximize) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), z = 36.
   auto p = Problem::maximize({3.0, 5.0});
   p.subject_to({1.0, 0.0}, Sense::kLe, 4.0)
@@ -25,7 +40,7 @@ TEST(Simplex, TextbookMaximize) {
   EXPECT_NEAR(s.x[1], 6.0, 1e-9);
 }
 
-TEST(Simplex, TextbookMinimizeWithGe) {
+ENGINE_TEST(TextbookMinimizeWithGe) {
   // min 2x + 3y s.t. x + y >= 4, x >= 1 -> (4, 0)? No: cost of x is lower,
   // so x = 4, y = 0, z = 8.
   auto p = Problem::minimize({2.0, 3.0});
@@ -38,7 +53,7 @@ TEST(Simplex, TextbookMinimizeWithGe) {
   EXPECT_NEAR(s.x[1], 0.0, 1e-9);
 }
 
-TEST(Simplex, EqualityConstraints) {
+ENGINE_TEST(EqualityConstraints) {
   // max x + 2y s.t. x + y = 3, x - y = 1 -> (2, 1), z = 4.
   auto p = Problem::maximize({1.0, 2.0});
   p.subject_to({1.0, 1.0}, Sense::kEq, 3.0)
@@ -50,19 +65,19 @@ TEST(Simplex, EqualityConstraints) {
   EXPECT_NEAR(s.x[1], 1.0, 1e-9);
 }
 
-TEST(Simplex, DetectsInfeasible) {
+ENGINE_TEST(DetectsInfeasible) {
   auto p = Problem::maximize({1.0});
   p.subject_to({1.0}, Sense::kLe, 1.0).subject_to({1.0}, Sense::kGe, 2.0);
   EXPECT_EQ(solve(p).status, Solution::Status::kInfeasible);
 }
 
-TEST(Simplex, DetectsUnbounded) {
+ENGINE_TEST(DetectsUnbounded) {
   auto p = Problem::maximize({1.0, 0.0});
   p.subject_to({0.0, 1.0}, Sense::kLe, 1.0);
   EXPECT_EQ(solve(p).status, Solution::Status::kUnbounded);
 }
 
-TEST(Simplex, NegativeRhsNormalization) {
+ENGINE_TEST(NegativeRhsNormalization) {
   // x >= 0, -x <= -2  <=>  x >= 2; min x -> 2.
   auto p = Problem::minimize({1.0});
   p.subject_to({-1.0}, Sense::kLe, -2.0);
@@ -71,7 +86,7 @@ TEST(Simplex, NegativeRhsNormalization) {
   EXPECT_NEAR(s.objective, 2.0, 1e-9);
 }
 
-TEST(Simplex, DualsOfMaxProblem) {
+ENGINE_TEST(DualsOfMaxProblem) {
   // max 3x + 5y as above; duals should price the binding constraints:
   // y* = (0, 3/2, 1).
   auto p = Problem::maximize({3.0, 5.0});
@@ -88,7 +103,7 @@ TEST(Simplex, DualsOfMaxProblem) {
               s.objective, 1e-8);
 }
 
-TEST(Simplex, ReducedCostsVanishOnBasicVariables) {
+ENGINE_TEST(ReducedCostsVanishOnBasicVariables) {
   auto p = Problem::maximize({3.0, 5.0});
   p.subject_to({1.0, 0.0}, Sense::kLe, 4.0)
       .subject_to({0.0, 2.0}, Sense::kLe, 12.0)
@@ -101,7 +116,7 @@ TEST(Simplex, ReducedCostsVanishOnBasicVariables) {
     }
 }
 
-TEST(Simplex, DegenerateProblemTerminates) {
+ENGINE_TEST(DegenerateProblemTerminates) {
   // Classic degenerate LP (multiple bases at the optimum).
   auto p = Problem::maximize({2.0, 1.0});
   p.subject_to({1.0, 1.0}, Sense::kLe, 2.0)
@@ -116,9 +131,17 @@ TEST(Simplex, DegenerateProblemTerminates) {
 /// whenever every cost column has a positive row — enforced by adding a
 /// box). Check weak duality and complementary slackness hold at the optimum.
 class RandomLp : public ::testing::TestWithParam<int> {};
+class DenseRandomLp : public RandomLp {};
 
+void strong_duality_and_slackness(Engine solve, int seed);
 TEST_P(RandomLp, StrongDualityAndSlackness) {
-  stosched::Rng rng(1000 + GetParam());
+  strong_duality_and_slackness(kRevised, GetParam());
+}
+TEST_P(DenseRandomLp, StrongDualityAndSlackness) {
+  strong_duality_and_slackness(kDense, GetParam());
+}
+void strong_duality_and_slackness(Engine solve, int seed) {
+  stosched::Rng rng(1000 + seed);
   const std::size_t n = 2 + rng.below(5);
   const std::size_t m = 2 + rng.below(5);
   auto costs = std::vector<double>(n);
@@ -160,6 +183,7 @@ TEST_P(RandomLp, StrongDualityAndSlackness) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLp, ::testing::Range(0, 20));
+INSTANTIATE_TEST_SUITE_P(Seeds, DenseRandomLp, ::testing::Range(0, 20));
 
 TEST(Simplex, ShapeValidation) {
   auto p = Problem::maximize({1.0, 2.0});

@@ -1,5 +1,6 @@
-// Tests for lp/revised_simplex: known-optimum instances, a randomized
-// differential suite against the dense tableau (objective agreement within
+// Tests for lp::solve, the revised simplex: known-optimum instances, a
+// randomized differential suite against the dense tableau reference
+// (tests/support/dense_simplex.hpp; objective agreement within
 // 1e-6, dual/reduced-cost consistency, identical infeasible/unbounded
 // verdicts), and warm-start behavior (rhs/cost-perturbed resolves reuse the
 // previous basis and take strictly fewer iterations than a cold solve).
@@ -12,12 +13,12 @@
 #include <vector>
 
 #include "experiment/scenario.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "online/lower_bound.hpp"
 #include "online/model.hpp"
 #include "restless/relaxation.hpp"
 #include "restless/restless_project.hpp"
+#include "support/dense_simplex.hpp"
 #include "util/rng.hpp"
 
 namespace stosched::lp {
@@ -70,7 +71,7 @@ TEST(RevisedSimplex, TextbookMaximize) {
   p.subject_to({1.0, 0.0}, Sense::kLe, 4.0)
       .subject_to({0.0, 2.0}, Sense::kLe, 12.0)
       .subject_to({3.0, 2.0}, Sense::kLe, 18.0);
-  const auto s = solve_revised(p);
+  const auto s = solve(p);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 36.0, 1e-9);
   EXPECT_NEAR(s.x[0], 2.0, 1e-9);
@@ -86,7 +87,7 @@ TEST(RevisedSimplex, TextbookMinimizeWithGe) {
   auto p = Problem::minimize({2.0, 3.0});
   p.subject_to({1.0, 1.0}, Sense::kGe, 4.0)
       .subject_to({1.0, 0.0}, Sense::kGe, 1.0);
-  const auto s = solve_revised(p);
+  const auto s = solve(p);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 8.0, 1e-9);
   EXPECT_NEAR(s.x[0], 4.0, 1e-9);
@@ -101,7 +102,7 @@ TEST(RevisedSimplex, EqualityAndNegativeRhs) {
   auto p = Problem::maximize({1.0, 2.0});
   p.subject_to({1.0, 1.0}, Sense::kEq, 3.0)
       .subject_to({-1.0, 1.0}, Sense::kEq, -1.0);
-  const auto s = solve_revised(p);
+  const auto s = solve(p);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 4.0, 1e-9);
   EXPECT_NEAR(s.x[0], 2.0, 1e-9);
@@ -145,8 +146,8 @@ TEST(RevisedSimplex, FractionalKnapsackKnownOptimum) {
     cap -= take * a[j];
   }
 
-  const auto dense = solve(p);
-  const auto revised = solve_revised(p);
+  const auto dense = solve_dense(p);
+  const auto revised = solve(p);
   ASSERT_TRUE(dense.optimal());
   ASSERT_TRUE(revised.optimal());
   EXPECT_NEAR(dense.objective, expect, 1e-6 * (1.0 + expect));
@@ -203,8 +204,8 @@ TEST_P(RevisedDifferential, AgreesWithDenseOnFeasibleLps) {
   const std::size_t n = 3 + rng.below(12);
   const std::size_t m = 2 + rng.below(10);
   const Problem p = random_feasible_lp(rng, n, m);
-  const auto dense = solve(p);
-  const auto revised = solve_revised(p);
+  const auto dense = solve_dense(p);
+  const auto revised = solve(p);
   ASSERT_TRUE(dense.optimal());
   ASSERT_TRUE(revised.optimal());
   const double scale = 1.0 + std::abs(dense.objective);
@@ -229,8 +230,8 @@ TEST_P(RevisedVerdicts, InfeasibleAndUnboundedMatchDense) {
     const double lo = rng.uniform(1.0, 2.0);
     p.subject_to(row, Sense::kLe, lo)
         .subject_to(row, Sense::kGe, lo + rng.uniform(1.0, 3.0));
+    EXPECT_EQ(solve_dense(p).status, Solution::Status::kInfeasible);
     EXPECT_EQ(solve(p).status, Solution::Status::kInfeasible);
-    EXPECT_EQ(solve_revised(p).status, Solution::Status::kInfeasible);
   }
   // Unbounded: maximize a variable no row constrains from above.
   {
@@ -240,29 +241,17 @@ TEST_P(RevisedVerdicts, InfeasibleAndUnboundedMatchDense) {
     for (std::size_t j = 1; j < n; ++j)
       p.subject_to_sparse({j}, {1.0}, Sense::kLe, rng.uniform(1.0, 4.0));
     p.subject_to_sparse({0}, {1.0}, Sense::kGe, rng.uniform(0.5, 1.0));
+    EXPECT_EQ(solve_dense(p).status, Solution::Status::kUnbounded);
     EXPECT_EQ(solve(p).status, Solution::Status::kUnbounded);
-    EXPECT_EQ(solve_revised(p).status, Solution::Status::kUnbounded);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RevisedVerdicts, ::testing::Range(0, 10));
 
-TEST(RevisedSimplex, SolverSelectorDispatches) {
-  auto p = Problem::maximize({3.0, 5.0});
-  p.subject_to({1.0, 0.0}, Sense::kLe, 4.0)
-      .subject_to({0.0, 2.0}, Sense::kLe, 12.0)
-      .subject_to({3.0, 2.0}, Sense::kLe, 18.0);
-  const auto dense = solve(p, Solver::kDense);
-  const auto revised = solve(p, Solver::kRevised);
-  ASSERT_TRUE(dense.optimal());
-  ASSERT_TRUE(revised.optimal());
-  EXPECT_NEAR(dense.objective, revised.objective, 1e-9);
-}
-
 TEST(RevisedSimplex, IterationLimitReported) {
   Rng rng(11);
   const Problem p = random_feasible_lp(rng, 10, 8);
-  EXPECT_EQ(solve_revised(p, 1).status, Solution::Status::kIterLimit);
+  EXPECT_EQ(solve(p, 1).status, Solution::Status::kIterLimit);
 }
 
 TEST(RevisedSimplex, SparseBuilderValidatesIndices) {
@@ -280,8 +269,8 @@ TEST(RevisedSimplex, RedundantEqualityRows) {
   p.subject_to({1.0, 1.0, 0.0}, Sense::kEq, 1.0)
       .subject_to({0.0, 0.0, 1.0}, Sense::kEq, 0.5)
       .subject_to({1.0, 1.0, 1.0}, Sense::kEq, 1.5);  // sum of the first two
-  const auto dense = solve(p);
-  const auto revised = solve_revised(p);
+  const auto dense = solve_dense(p);
+  const auto revised = solve(p);
   ASSERT_TRUE(dense.optimal());
   ASSERT_TRUE(revised.optimal());
   EXPECT_NEAR(revised.objective, dense.objective, 1e-9);
@@ -294,16 +283,16 @@ TEST(RevisedSimplex, WarmStartTakesFewerIterations) {
   Rng rng(123);
   Problem p = random_feasible_lp(rng, 30, 20);
   Basis basis;
-  const auto first = solve_revised(p, basis);
+  const auto first = solve(p, basis);
   ASSERT_TRUE(first.optimal());
   ASSERT_FALSE(basis.empty());
 
   for (auto& c : p.constraints) c.rhs *= rng.uniform(1.0, 1.05);
   for (auto& c : p.costs) c *= rng.uniform(1.0, 1.02);
 
-  const auto cold = solve_revised(p);
+  const auto cold = solve(p);
   Basis warm_basis = basis;
-  const auto warm = solve_revised(p, warm_basis);
+  const auto warm = solve(p, warm_basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(warm.optimal());
   const double scale = 1.0 + std::abs(cold.objective);
@@ -317,10 +306,10 @@ TEST(RevisedSimplex, WarmStartShapeMismatchFallsBackToCold) {
   const Problem small = random_feasible_lp(rng, 5, 4);
   const Problem big = random_feasible_lp(rng, 12, 9);
   Basis basis;
-  ASSERT_TRUE(solve_revised(small, basis).optimal());
+  ASSERT_TRUE(solve(small, basis).optimal());
   Basis stale = basis;  // wrong shape for `big`
-  const auto warm = solve_revised(big, stale);
-  const auto cold = solve_revised(big);
+  const auto warm = solve(big, stale);
+  const auto cold = solve(big);
   ASSERT_TRUE(warm.optimal());
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
   EXPECT_EQ(stale.vars, big.costs.size());  // rewritten to the new shape
@@ -330,8 +319,8 @@ TEST(RevisedSimplex, CountsProcessLpEffort) {
   const auto before = process_lp_counters();
   auto p = Problem::maximize({1.0});
   p.subject_to({1.0}, Sense::kLe, 1.0);
-  ASSERT_TRUE(solve_revised(p).optimal());
   ASSERT_TRUE(solve(p).optimal());
+  ASSERT_TRUE(solve_dense(p).optimal());
   const auto after = process_lp_counters();
   EXPECT_EQ(after.solves, before.solves + 2);
   EXPECT_GE(after.iterations, before.iterations + 1);
@@ -349,7 +338,7 @@ struct PinnedSolve {
 };
 
 void expect_pinned(const Problem& p, const PinnedSolve& pin) {
-  const Solution s = solve_revised(p);
+  const Solution s = solve(p);
   ASSERT_TRUE(s.optimal()) << "seed " << pin.seed;
   EXPECT_EQ(s.iterations, pin.iterations) << "seed " << pin.seed;
   EXPECT_NEAR(s.objective, pin.objective,

@@ -34,6 +34,7 @@
 #include "online/model.hpp"
 #include "online/policies.hpp"
 #include "online/simulate.hpp"
+#include "support/dense_simplex.hpp"
 #include "util/rng.hpp"
 
 #ifdef _OPENMP
@@ -192,8 +193,8 @@ TEST(OnlineLowerBound, NeverExceedsBruteForceOptimum) {
 }
 
 TEST(OnlineLowerBound, LpSolversAgreeOnTheRealBound) {
-  // The dense tableau stays in the tree as the auditable reference; both
-  // engines must report the same interval-indexed bound on real instances.
+  // The dense tableau reference must report the same interval-indexed bound
+  // as the library's engine on real instances.
   const auto env = online::unrelated_machines({{2.0, 0.6}, {0.7, 1.8}});
   const std::vector<JobType> types{{0.5, 1.0, exponential_dist(1.0)},
                                    {0.5, 1.0, exponential_dist(1.0)}};
@@ -214,15 +215,14 @@ TEST(OnlineLowerBound, LpSolversAgreeOnTheRealBound) {
     }
     OfflineBoundOptions opt;
     opt.use_lp = true;
-    opt.lp_solver = lp::Solver::kRevised;
     const OfflineBound revised =
         online::offline_lower_bound(inst, env, types, opt);
-    opt.lp_solver = lp::Solver::kDense;
-    const OfflineBound dense =
-        online::offline_lower_bound(inst, env, types, opt);
+    const lp::Solution dense =
+        lp::solve_dense(online::interval_indexed_lp(inst, env));
+    ASSERT_TRUE(dense.optimal()) << "trial " << trial;
     ASSERT_GT(revised.lp_bound, 0.0);
-    EXPECT_NEAR(revised.lp_bound, dense.lp_bound,
-                1e-6 * (1.0 + dense.lp_bound))
+    EXPECT_NEAR(revised.lp_bound, dense.objective,
+                1e-6 * (1.0 + dense.objective))
         << "trial " << trial;
   }
 }

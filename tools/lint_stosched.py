@@ -26,8 +26,9 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         they read no clock at all; timing lives in bench/
                         and perfbench/.
   cmake-coverage        Every src/**/*.cpp is listed in the CMake library
-                        sources and every tests/test_*.cpp in STOSCHED_TESTS
-                        — an unlisted translation unit silently never builds.
+                        sources, every tests/support/*.cpp in CMakeLists.txt
+                        and every tests/test_*.cpp in STOSCHED_TESTS — an
+                        unlisted translation unit silently never builds.
   metrics-registry      No bespoke std::atomic telemetry in src/ outside
                         src/obs/ and src/util/: counters and histograms flow
                         through the obs registry so bench_common::finish can
@@ -226,12 +227,12 @@ def rule_cmake_coverage(root):
                           "CMakeLists.txt missing")]
     cmtext = read(cmake)
     out = []
-    for path in cxx_files(root, "src", suffixes=(".cpp",)):
+    for path in cxx_files(root, "src", "tests/support", suffixes=(".cpp",)):
         if rel(root, path) not in cmtext:
             out.append(Violation(
                 rel(root, path), 1, "cmake-coverage",
-                "source file not listed in the CMake library sources — it "
-                "silently never builds"))
+                "source file not listed in CMakeLists.txt — it silently "
+                "never builds"))
     tests = root / "tests"
     if tests.is_dir():
         for path in sorted(tests.glob("test_*.cpp")):

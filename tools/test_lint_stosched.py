@@ -157,6 +157,13 @@ class RuleFiresOnFixture(unittest.TestCase):
         self.assertIn("unlisted_source.cpp", paths)
         self.assertIn("test_unlisted.cpp", paths)
 
+    def test_cmake_coverage_covers_test_support_only(self):
+        self.skel.add("unlisted_source.cpp", "tests/support/unlisted.cpp")
+        self.skel.add("unlisted_source.cpp", "tests/lint_fixtures/skip.cpp")
+        found = self.run_rule("cmake-coverage")
+        self.assertEqual([v.path for v in found],
+                         ["tests/support/unlisted.cpp"])
+
     def test_cmake_coverage_accepts_listed(self):
         self.assertEqual(self.run_rule("cmake-coverage"), [],
                          "the listed skeleton source is covered")
